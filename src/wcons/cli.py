@@ -3,8 +3,10 @@
 Summaries go to stdout with six significant digits; machine-readable
 artifacts are written to ``--out`` paths as JSON or CSV with full
 round-trip float precision.  Exit status is 0 on success, 1 on any
-validation problem (bad flags, malformed documents, non-certifiable
-inputs) and 2 when a solver gives up.
+validation or I/O problem (bad flags, malformed documents, non-certifiable
+inputs, unreadable or unwritable files) and 2 when a solver gives up or
+loses numerical positivity.  Every failure is reported as one line on
+stderr.
 """
 
 from __future__ import annotations
@@ -372,7 +374,11 @@ def run_command(argv) -> int:
             UnsupportedConfiguration) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MaxIterationsExceeded, SingularSubset) as exc:
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (MaxIterationsExceeded, SingularSubset, ArithmeticError,
+            np.linalg.LinAlgError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
 

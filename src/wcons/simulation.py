@@ -75,9 +75,61 @@ def random_spd(dim: int, condition_cap: float, rng) -> "certify_spd":
 
 
 def _ml_fit(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = points.mean(axis=0)
-    centered = points - mean
-    return mean, centered.T @ centered / points.shape[0]
+    """Mean and maximum-likelihood covariance of each ``(..., m, d)`` cloud."""
+    mean = points.mean(axis=-2)
+    centered = points - mean[..., None, :]
+    return mean, np.swapaxes(centered, -1, -2) @ centered / points.shape[-2]
+
+
+def _c_step_paths(clouds: np.ndarray, owner: np.ndarray, h: int,
+                  means: np.ndarray, covs: np.ndarray, max_steps: int = 100):
+    """Concentration steps for a stack of paths until each support repeats.
+
+    Path ``i`` starts from ``means[i]``, ``covs[i]`` on the cloud
+    ``clouds[owner[i]]`` (shapes ``(b, d)``, ``(b, d, d)``, ``(u, n, d)``).
+    All live paths take each step together; a path leaves the live set when
+    its support repeats, when it fails, or after ``max_steps`` refits.  A
+    path fails when its start covariance is exactly singular (an LU zero
+    pivot, on which a solve would raise) or when a refit has determinant
+    sign <= 0.  Returns ``(means, covs, supports, history, steps, failed)``;
+    row ``i`` of ``history`` holds the log-determinants of the first
+    ``steps[i]`` refits of path ``i``.
+    """
+    b = owner.shape[0]
+    means = np.array(means, dtype=float)
+    covs = np.array(covs, dtype=float)
+    supports = np.zeros((b, h), dtype=np.intp)
+    history = np.full((b, max_steps), np.nan)
+    steps = np.zeros(b, dtype=np.intp)
+    failed = np.linalg.slogdet(covs)[0] == 0
+    # Working copies of the live paths; every live path has taken exactly
+    # ``step`` refits, so one step counter serves them all.
+    live = np.flatnonzero(~failed)
+    mean, cov = means[live], covs[live]
+    for step in range(max_steps):
+        if live.size == 0:
+            break
+        own = owner[live]
+        delta = clouds[own]
+        delta -= mean[:, None, :]
+        md = np.einsum("bij,bji->bi", delta,
+                       np.linalg.solve(cov, np.swapaxes(delta, 1, 2)))
+        del delta
+        support = np.sort(np.argsort(md, axis=1, kind="stable")[:, :h], axis=1)
+        mean, cov = _ml_fit(clouds[own[:, None], support])
+        sign, logdet = np.linalg.slogdet(cov)
+        ok = sign > 0
+        failed[live[~ok]] = True
+        # A repeated support refits to the fit it already has, whose
+        # determinant was positive, so only the paths that moved advance.
+        go = ok & np.any(support != supports[live], axis=1) if step else ok
+        if not go.all():
+            live, mean, cov, support = live[go], mean[go], cov[go], support[go]
+            logdet = logdet[go]
+        means[live], covs[live], supports[live] = mean, cov, support
+        history[live, step] = logdet
+        steps[live] = step + 1
+    return means, covs, supports, history, steps, failed
 
 
 def c_step_path(points: np.ndarray, h: int, mean: np.ndarray,
@@ -89,25 +141,67 @@ def c_step_path(points: np.ndarray, h: int, mean: np.ndarray,
     covariance on them; the covariance determinant never increases along
     the path.  Returns ``(mean, cov, support, logdet_history)``.
     """
-    support_prev = None
-    history: list[float] = []
-    for _ in range(max_steps):
-        delta = points - mean
-        try:
-            sol = np.linalg.solve(cov, delta.T)
-        except np.linalg.LinAlgError:
-            raise SingularSubset("covariance became singular during refit")
-        md = np.einsum("ij,ji->i", delta, sol)
-        support = np.sort(np.argsort(md, kind="stable")[:h])
-        if support_prev is not None and np.array_equal(support, support_prev):
-            break
-        mean, cov = _ml_fit(points[support])
-        sign, logdet = np.linalg.slogdet(cov)
-        if sign <= 0:
-            raise SingularSubset("support subset has singular covariance")
-        history.append(float(logdet))
-        support_prev = support
-    return mean, cov, support_prev, history
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise InvalidInput(f"points must be (n, d), got shape {pts.shape}")
+    if not 1 <= h <= pts.shape[0]:
+        raise InvalidInput(f"need 1 <= h <= n, got h={h}, n={pts.shape[0]}")
+    means, covs, supports, history, steps, failed = _c_step_paths(
+        pts[None], np.zeros(1, dtype=np.intp), h, np.asarray(mean)[None],
+        np.asarray(cov)[None], max_steps)
+    if failed[0]:
+        raise SingularSubset("concentration path hit a singular covariance")
+    support = supports[0] if steps[0] else None
+    return means[0], covs[0], support, history[0, :steps[0]].tolist()
+
+
+def _mcd_fits(clouds: np.ndarray, h: int, restarts: int,
+              gens: list[np.random.Generator]) -> list[LocScatter]:
+    """Raw MCD fits of the clouds ``(u, n, d)``.
+
+    Cloud ``i`` draws ``restarts`` random (d+1)-point start subsets in order
+    from ``gens[i]``, and the paths of all clouds step together.  Only
+    failed paths are redrawn, so every generator makes exactly the draws a
+    one-subset-at-a-time loop would; a cloud gives up after 10 * restarts
+    attempts.  The smallest final log-determinant wins, the earliest
+    completed restart winning ties.
+    """
+    u, n, d = clouds.shape
+    if not d + 1 <= h <= n:
+        raise InvalidInput(f"need d+1 <= h <= n, got h={h}, n={n}, d={d}")
+    if restarts < 1:
+        raise InvalidInput("need at least one restart")
+    attempts = np.full(u, 10 * restarts)
+    needed = np.full(u, restarts)
+    best_logdet = np.zeros(u)
+    best_mean = np.zeros((u, d))
+    best_cov = np.zeros((u, d, d))
+    while np.any((needed > 0) & (attempts > 0)):
+        owners, subsets = [], []
+        for i in np.flatnonzero((needed > 0) & (attempts > 0)):
+            draws = min(needed[i], attempts[i])
+            attempts[i] -= draws
+            owners += [i] * draws
+            subsets += [gens[i].choice(n, size=d + 1, replace=False)
+                        for _ in range(draws)]
+        owners = np.array(owners)
+        mean0, cov0 = _ml_fit(clouds[owners[:, None], np.array(subsets)])
+        means, covs, _, history, steps, failed = _c_step_paths(
+            clouds, owners, h, mean0, cov0)
+        for p in np.flatnonzero(~failed):
+            i = owners[p]
+            logdet = history[p, steps[p] - 1]
+            if needed[i] == restarts or logdet < best_logdet[i]:
+                best_logdet[i], best_mean[i], best_cov[i] = (
+                    logdet, means[p], covs[p])
+            needed[i] -= 1
+    fits = []
+    for i in range(u):
+        if needed[i] > 0:
+            raise SingularSubset(
+                f"no nonsingular fit in {10 * restarts} attempts")
+        fits.append(LocScatter(best_mean[i], certify_spd(best_cov[i])))
+    return fits
 
 
 def estimate_mcd(points: np.ndarray, h: int, restarts: int, rng) -> LocScatter:
@@ -122,31 +216,7 @@ def estimate_mcd(points: np.ndarray, h: int, restarts: int, rng) -> LocScatter:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise InvalidInput(f"points must be (n, d), got shape {pts.shape}")
-    n, d = pts.shape
-    if not d + 1 <= h <= n:
-        raise InvalidInput(f"need d+1 <= h <= n, got h={h}, n={n}, d={d}")
-    if restarts < 1:
-        raise InvalidInput("need at least one restart")
-    gen = _generator(rng)
-    attempts = 10 * restarts
-    completed = 0
-    best = None
-    while completed < restarts:
-        if attempts == 0:
-            raise SingularSubset(
-                f"no nonsingular fit in {10 * restarts} attempts")
-        attempts -= 1
-        subset = gen.choice(n, size=d + 1, replace=False)
-        try:
-            mean0, cov0 = _ml_fit(pts[subset])
-            mean, cov, _, history = c_step_path(pts, h, mean0, cov0)
-        except SingularSubset:
-            continue
-        completed += 1
-        logdet = history[-1]
-        if best is None or logdet < best[0]:
-            best = (logdet, mean, cov)
-    return LocScatter(best[1], certify_spd(best[2]))
+    return _mcd_fits(pts[None], h, restarts, [_generator(rng)])[0]
 
 
 def _standard_gaussian(dim: int) -> LocScatter:
@@ -215,21 +285,32 @@ def _sample_member(p: LocScatter, count: int,
     return p.mean + z @ p.cov.sqrt()
 
 
-def _hospital_unit(cfg: HospitalConfig, index: int) -> tuple[LocScatter, int]:
-    gen = RngState(cfg.seed).split(index).generator()
-    if cfg.contamination_beta is None:
-        p = 0.0
-    else:
-        p = gen.beta(*cfg.contamination_beta)
-    mask = gen.random(cfg.n) < p
-    clean = _sample_member(cfg.inlier, cfg.n, gen)
-    bad = _sample_member(cfg.outlier, cfg.n, gen)
-    points = np.where(mask[:, None], bad, clean)
+def _hospital_units(cfg: HospitalConfig):
+    """Per-unit rescaled MCD estimates and outlier counts of a study.
+
+    Unit ``i`` draws its contamination level, mixture cloud and MCD start
+    subsets from split stream ``i``; the concentration paths of all units
+    run as one batch.
+    """
+    gens, clouds, counts = [], [], []
+    for i in range(cfg.k):
+        gen = RngState(cfg.seed).split(i).generator()
+        if cfg.contamination_beta is None:
+            p = 0.0
+        else:
+            p = gen.beta(*cfg.contamination_beta)
+        mask = gen.random(cfg.n) < p
+        clean = _sample_member(cfg.inlier, cfg.n, gen)
+        bad = _sample_member(cfg.outlier, cfg.n, gen)
+        clouds.append(np.where(mask[:, None], bad, clean))
+        gens.append(gen)
+        counts.append(int(mask.sum()))
     h = round(cfg.mcd_fraction * cfg.n)
-    est = estimate_mcd(points, h, cfg.mcd_restarts, gen)
+    fits = _mcd_fits(np.stack(clouds), h, cfg.mcd_restarts, gens)
     scale = 1.0 / mcd_consistency_factor(cfg.mcd_fraction, cfg.inlier.dim)
-    est = LocScatter(est.mean, certify_spd(scale * est.cov.entries))
-    return est, int(mask.sum())
+    estimates = tuple(LocScatter(f.mean, certify_spd(scale * f.cov.entries))
+                      for f in fits)
+    return estimates, tuple(counts)
 
 
 def hospital_experiment(cfg: HospitalConfig) -> HospitalReport:
@@ -243,9 +324,7 @@ def hospital_experiment(cfg: HospitalConfig) -> HospitalReport:
     barycenter, trimmed barycenter and linear averaging; each aggregate is
     scored by squared distance to the clean target.
     """
-    units = map_indexed(lambda i: _hospital_unit(cfg, i), range(cfg.k))
-    estimates = tuple(u[0] for u in units)
-    counts = tuple(u[1] for u in units)
+    estimates, counts = _hospital_units(cfg)
     ens = WeightedEnsemble.equal_weights(estimates)
     plain = fixed_point_barycenter(ens).bary
     trim_seed = RngState(cfg.seed).split(_AGGREGATE_TAG).seed

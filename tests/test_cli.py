@@ -348,6 +348,38 @@ class TestExitCodes:
         assert run_command(["barycenter", path]) == 1
         assert "positive definite" in capsys.readouterr().err
 
+    def test_unwritable_out_path_is_exit_1(self, sigma_trio_path, tmp_path,
+                                           capsys):
+        out = tmp_path / "missing" / "bary.json"
+        code = run_command(["barycenter", sigma_trio_path, "--out",
+                            str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert len(err.splitlines()) == 1
+
+    def test_positivity_loss_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        def lose_positivity(p, q):
+            raise ArithmeticError("distance computation lost positivity: "
+                                  "-1.4e-09")
+
+        monkeypatch.setattr("wcons.cli.w2_distance_sq", lose_positivity)
+        a = gauss_doc(tmp_path / "a.json", [(1.0, [0.0], [[1.0]])])
+        assert run_command(["distance", a, a]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: ") and "positivity" in err
+        assert len(err.splitlines()) == 1
+
+    def test_linear_algebra_failure_is_exit_2(self, sigma_trio_path, capsys,
+                                              monkeypatch):
+        def singular(ens, tol, max_iter):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr("wcons.cli.fixed_point_barycenter", singular)
+        assert run_command(["barycenter", sigma_trio_path]) == 2
+        err = capsys.readouterr().err
+        assert err == "solver failure: Singular matrix\n"
+
 
 class TestModuleEntryPoint:
     def test_subprocess_smoke(self, tmp_path):

@@ -6,6 +6,7 @@ splitmix64 reference values are the published first outputs for seeds 0
 and 1234567.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -15,12 +16,73 @@ from wcons import (InvalidInput, LocScatter, RngState, SingularSubset,
                    certify_spd, w2_distance_sq)
 from wcons.rng import splitmix64
 from wcons.runtime import map_indexed, worker_count
-from wcons.simulation import (HospitalConfig, c_step_path,
+from wcons.simulation import (HospitalConfig, _c_step_paths,
+                              _hospital_units, c_step_path,
                               consistency_harness, ellipse_points,
                               ellipse_toy_ensemble, estimate_mcd,
                               gaussian_parameter_law, hospital_experiment,
                               mcd_consistency_factor, random_spd)
 from wcons.trimming import TrimConfig, trimmed_barycenter
+
+
+def reference_c_step_path(points, h, mean, cov, max_steps=100):
+    """One concentration path at a time, in plain numpy calls: the loop the
+    batched kernel must reproduce bit for bit."""
+    support_prev = None
+    history = []
+    for _ in range(max_steps):
+        delta = points - mean
+        try:
+            sol = np.linalg.solve(cov, delta.T)
+        except np.linalg.LinAlgError:
+            raise SingularSubset("singular start")
+        md = np.einsum("ij,ji->i", delta, sol)
+        support = np.sort(np.argsort(md, kind="stable")[:h])
+        if support_prev is not None and np.array_equal(support, support_prev):
+            break
+        sub = points[support]
+        mean = sub.mean(axis=0)
+        centered = sub - mean
+        cov = centered.T @ centered / h
+        sign, logdet = np.linalg.slogdet(cov)
+        if sign <= 0:
+            raise SingularSubset("singular refit")
+        history.append(float(logdet))
+        support_prev = support
+    return mean, cov, support_prev, history
+
+
+def reference_estimate_mcd(points, h, restarts, gen):
+    """Draw one start subset at a time and run its path to the end.
+
+    Returns the winning ``(mean, cov)`` and the number of failed starts.
+    """
+    n, d = points.shape
+    best, failures, completed = None, 0, 0
+    while completed < restarts:
+        subset = gen.choice(n, size=d + 1, replace=False)
+        start = points[subset]
+        mean0 = start.mean(axis=0)
+        centered = start - mean0
+        cov0 = centered.T @ centered / (d + 1)
+        try:
+            mean, cov, _, history = reference_c_step_path(points, h, mean0,
+                                                          cov0)
+        except SingularSubset:
+            failures += 1
+            continue
+        completed += 1
+        if best is None or history[-1] < best[0]:
+            best = (history[-1], mean, cov)
+    return best[1], best[2], failures
+
+
+def duplicated_cloud(seed, n=30, copies=15):
+    """A planar cloud whose first ``copies`` points coincide, so that some
+    (d+1)-point starts are exactly singular."""
+    pts = RngState(seed).generator().standard_normal((n, 2))
+    pts[:copies] = pts[0]
+    return pts
 
 
 class TestRngState:
@@ -179,6 +241,61 @@ class TestCStepPath:
         with pytest.raises(SingularSubset):
             c_step_path(pts, 3, np.zeros(2), np.zeros((2, 2)))
 
+    def test_support_size_validated(self):
+        pts = RngState(4).generator().standard_normal((10, 2))
+        for h in (0, 11):
+            with pytest.raises(InvalidInput):
+                c_step_path(pts, h, np.zeros(2), np.eye(2))
+        with pytest.raises(InvalidInput):
+            c_step_path(pts[0], 1, np.zeros(2), np.eye(2))
+
+
+class TestCStepKernel:
+    def test_mixed_batch_matches_sequential_paths(self):
+        # Path 2 starts from an exactly singular covariance and path 4 can
+        # only refit on coincident points (determinant sign 0).  Path 5
+        # lies on a line, so the sign of its first refit's determinant is
+        # round-off (negative on x86-64 OpenBLAS builds).  Each path must
+        # fail exactly when the one-path loop does, without disturbing the
+        # healthy paths around it.
+        gen = RngState(7).generator()
+        clouds = gen.standard_normal((6, 40, 2))
+        clouds[4, :32] = clouds[4, 0]
+        t = RngState(2).generator().standard_normal(40)
+        clouds[5] = np.column_stack([t, 0.1 * t + 0.3])
+        means = gen.standard_normal((6, 2))
+        covs = np.array([random_spd(2, 10.0, gen).entries for _ in range(6)])
+        covs[2] = [[1.0, 0.0], [0.0, 0.0]]
+        means[5], covs[5] = 0.0, np.eye(2)
+        out_means, out_covs, supports, history, steps, failed = (
+            _c_step_paths(clouds, np.arange(6), 30, means, covs, 100))
+        assert failed[2] and failed[4]
+        for i in range(6):
+            try:
+                ref = reference_c_step_path(clouds[i], 30, means[i], covs[i])
+            except SingularSubset:
+                assert failed[i]
+                with pytest.raises(SingularSubset):
+                    c_step_path(clouds[i], 30, means[i], covs[i])
+                continue
+            assert not failed[i]
+            for got in (c_step_path(clouds[i], 30, means[i], covs[i]),
+                        (out_means[i], out_covs[i], supports[i],
+                         history[i, :steps[i]].tolist())):
+                for a, b in zip(got, ref):
+                    np.testing.assert_array_equal(a, b)
+        assert not failed[[0, 1, 3]].any()
+
+    def test_max_steps_caps_every_path(self):
+        gen = RngState(8).generator()
+        clouds = gen.standard_normal((3, 30, 2))
+        means = np.zeros((3, 2))
+        covs = np.repeat(np.eye(2)[None] * 100.0, 3, axis=0)
+        *_, steps, failed = _c_step_paths(clouds, np.arange(3), 20, means,
+                                          covs, 1)
+        np.testing.assert_array_equal(steps, [1, 1, 1])
+        assert not failed.any()
+
 
 class TestEstimateMcd:
     def test_clean_gaussian_sample(self):
@@ -234,6 +351,27 @@ class TestEstimateMcd:
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.cov.entries, b.cov.entries)
 
+    @pytest.mark.parametrize("duplicated", [False, True])
+    def test_generator_advances_as_one_draw_at_a_time(self, duplicated):
+        # Batched restarts must consume exactly the draws of the sequential
+        # loop, redraws included, and pick the same winner.
+        total_failures = 0
+        for seed in range(6):
+            if duplicated:
+                pts = duplicated_cloud(seed)
+            else:
+                pts = RngState(seed).generator().standard_normal((30, 2))
+            gen_a = RngState(100 + seed).generator()
+            gen_b = RngState(100 + seed).generator()
+            est = estimate_mcd(pts, 20, 5, gen_a)
+            mean, cov, failures = reference_estimate_mcd(pts, 20, 5, gen_b)
+            np.testing.assert_array_equal(est.mean, mean)
+            np.testing.assert_array_equal(est.cov.entries,
+                                          certify_spd(cov).entries)
+            assert gen_a.integers(2 ** 62) == gen_b.integers(2 ** 62)
+            total_failures += failures
+        assert (total_failures > 0) == duplicated
+
 
 class TestHospitalExperiment:
     def test_zero_contamination_all_aggregates_near_target(self):
@@ -276,6 +414,51 @@ class TestHospitalExperiment:
         assert a.w2_sq_trimmed == b.w2_sq_trimmed
         assert a.w2_sq_linear == b.w2_sq_linear
         assert a.unit_outlier_counts == b.unit_outlier_counts
+
+    def test_units_equal_per_unit_estimate_then_rescale(self):
+        # The per-unit recipe a replay of the study relies on: split
+        # stream i, contamination, mixture cloud, estimate_mcd from the
+        # same stream, then the consistency rescaling.
+        cfg = HospitalConfig(k=15, n=50, seed=4, mcd_restarts=3,
+                             trim_restarts=3)
+        estimates, counts = _hospital_units(cfg)
+        h = round(cfg.mcd_fraction * cfg.n)
+        factor = mcd_consistency_factor(cfg.mcd_fraction, 2)
+        for i in range(cfg.k):
+            gen = RngState(cfg.seed).split(i).generator()
+            p = gen.beta(*cfg.contamination_beta)
+            mask = gen.random(cfg.n) < p
+            clean = (cfg.inlier.mean + gen.standard_normal((cfg.n, 2))
+                     @ cfg.inlier.cov.sqrt())
+            bad = (cfg.outlier.mean + gen.standard_normal((cfg.n, 2))
+                   @ cfg.outlier.cov.sqrt())
+            points = np.where(mask[:, None], bad, clean)
+            est = estimate_mcd(points, h, cfg.mcd_restarts, gen)
+            cov = certify_spd((1.0 / factor) * est.cov.entries)
+            assert counts[i] == int(mask.sum())
+            np.testing.assert_array_equal(estimates[i].mean, est.mean)
+            np.testing.assert_array_equal(estimates[i].cov.entries,
+                                          cov.entries)
+
+    def test_report_bytes_are_pinned(self):
+        # Digest computed at commit e937dd7, which fitted every unit's MCD
+        # restarts one concentration path at a time; the batched unit stage
+        # must reproduce that report bit for bit.
+        cfg = HospitalConfig(k=12, n=40, seed=1, mcd_restarts=3,
+                             trim_restarts=3)
+        rep = hospital_experiment(cfg)
+        parts = [np.array([rep.w2_sq_barycenter, rep.w2_sq_trimmed,
+                           rep.w2_sq_linear]),
+                 np.asarray(rep.unit_outlier_counts, dtype=np.int64),
+                 rep.trimmed.active_weights]
+        for p in (rep.barycenter, rep.trimmed.bary, rep.linear):
+            parts += [p.mean, p.cov.entries]
+        digest = hashlib.sha256()
+        for a in parts:
+            digest.update(np.ascontiguousarray(
+                a, dtype=a.dtype.newbyteorder("<")).tobytes())
+        assert digest.hexdigest() == ("a6c7e07ac8946a8ea1497e65151b5377"
+                                      "e072400014d02737ded81e23edeb2b25")
 
     def test_different_seeds_differ(self):
         base = dict(k=10, n=40, mcd_restarts=2, trim_restarts=3)
