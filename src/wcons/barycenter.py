@@ -16,13 +16,15 @@ starting point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadWeights, DimensionMismatch, MaxIterationsExceeded
-from .locscatter import LocScatter, w2_distances_sq
-from .spd import SpdMatrix, SymMatrix, certify_spd, spd_exp, spd_log, sqrt_psd_batch
+from .errors import (BadWeights, DimensionMismatch, InvalidInput,
+                     MaxIterationsExceeded)
+from .locscatter import LocScatter, _bures_sq
+from .spd import (SpdMatrix, SymMatrix, certify_spd, check_same_dim, spd_exp,
+                  spd_log, sqrt_psd_batch)
 
 __all__ = [
     "WeightedEnsemble",
@@ -43,11 +45,14 @@ class WeightedEnsemble:
     """Finitely many family members with strictly positive weights.
 
     Weights must sum to one within 1e-9 and all members must share a
-    dimension.
+    dimension.  The member means ``(k, d)`` and scatters ``(k, d, d)`` are
+    stacked once, read-only, and every solver works on those stacks.
     """
 
     weights: np.ndarray
     members: tuple[LocScatter, ...]
+    _means: np.ndarray = field(init=False, repr=False)
+    _covs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lam = np.asarray(self.weights, dtype=float)
@@ -65,9 +70,14 @@ class WeightedEnsemble:
         if len(dims) != 1:
             raise DimensionMismatch(f"members span dimensions {sorted(dims)}")
         lam = lam.copy()
-        lam.setflags(write=False)
+        means = np.stack([m.mean for m in members])
+        covs = np.stack([m.cov.entries for m in members])
+        for a in (lam, means, covs):
+            a.setflags(write=False)
         object.__setattr__(self, "weights", lam)
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_means", means)
+        object.__setattr__(self, "_covs", covs)
 
     @classmethod
     def equal_weights(cls, members) -> "WeightedEnsemble":
@@ -86,10 +96,10 @@ class WeightedEnsemble:
         return self.members[0].dim
 
     def means(self) -> np.ndarray:
-        return np.stack([m.mean for m in self.members])
+        return self._means
 
     def covs(self) -> np.ndarray:
-        return np.stack([m.cov.entries for m in self.members])
+        return self._covs
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,28 +110,41 @@ class BarycenterResult:
     variance: float
 
 
-def _mean_bar(ens: WeightedEnsemble) -> np.ndarray:
-    return ens.weights @ ens.means()
+def _scatter_step(spd: SpdMatrix, covs: np.ndarray,
+                  lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the scatter iteration from ``spd``; returns the weighted
+    mean of the transported roots and the next iterate."""
+    root = spd.sqrt()
+    inv_root = spd.inv_sqrt()
+    inner = root @ covs @ root
+    mixed = np.einsum("k,kij->ij", lam, sqrt_psd_batch(inner))
+    mixed = 0.5 * (mixed + mixed.T)
+    s_next = inv_root @ (mixed @ mixed) @ inv_root
+    return mixed, 0.5 * (s_next + s_next.T)
 
 
-def _fixed_point_cov(covs: np.ndarray, lam: np.ndarray, start: np.ndarray,
-                     tol: float, max_iter: int) -> tuple[np.ndarray, int, float]:
-    """Run the scatter iteration on raw arrays; return (S, steps, residual)."""
-    s = start
+def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
+                tol: float, max_iter: int,
+                start: np.ndarray | None = None) -> BarycenterResult:
+    """Barycenter of the stacked members ``means``, ``covs`` weighted by
+    ``lam``; the scatter iteration starts from ``start`` or, by default,
+    the weighted mean of the scatters."""
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise InvalidInput(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 0:
+        raise InvalidInput(f"max_iter must be nonnegative, got {max_iter}")
+    s = np.einsum("k,kij->ij", lam, covs) if start is None else start
     for step in range(max_iter + 1):
         spd = certify_spd(s)
-        root = spd.sqrt()
-        inv_root = spd.inv_sqrt()
-        inner = root @ covs @ root
-        mixed = np.einsum("k,kij->ij", lam, sqrt_psd_batch(inner))
-        mixed = 0.5 * (mixed + mixed.T)
+        mixed, s_next = _scatter_step(spd, covs, lam)
         norm_s = np.linalg.norm(s)
         residual = np.linalg.norm(mixed - s) / norm_s
-        s_next = inv_root @ (mixed @ mixed) @ inv_root
-        s_next = 0.5 * (s_next + s_next.T)
         change = np.linalg.norm(s_next - s) / norm_s
         if change < tol and residual <= 10.0 * tol:
-            return s, step, float(residual)
+            bary = LocScatter(lam @ means, spd)
+            return BarycenterResult(
+                bary=bary, iterations=step, residual=float(residual),
+                variance=float(lam @ _bures_sq(bary, means, covs)))
         s = s_next
     raise MaxIterationsExceeded(
         f"scatter iteration did not converge in {max_iter} steps "
@@ -137,16 +160,14 @@ def fixed_point_barycenter(ens: WeightedEnsemble, tol: float = DEFAULT_TOL,
     Iterates until the relative Frobenius change of the scatter falls
     below ``tol`` and the relative residual of the fixed-point condition is
     at most ``10 * tol``; raises :class:`MaxIterationsExceeded` otherwise.
+    ``tol`` must be finite and positive and ``max_iter`` nonnegative.
     The reported variance is the weighted sum of squared distances from
     the members to the barycenter.
     """
-    covs = ens.covs()
-    start = init.entries if init is not None else np.einsum(
-        "k,kij->ij", ens.weights, covs)
-    s, steps, residual = _fixed_point_cov(covs, ens.weights, start, tol, max_iter)
-    bary = LocScatter(_mean_bar(ens), certify_spd(s))
-    return BarycenterResult(bary=bary, iterations=steps, residual=residual,
-                            variance=barycenter_variance(ens, bary))
+    if init is not None:
+        check_same_dim(ens.dim, init.dim)
+    return _barycenter(ens.weights, ens.means(), ens.covs(), tol, max_iter,
+                       None if init is None else init.entries)
 
 
 def g_map(ens: WeightedEnsemble, eta: LocScatter) -> LocScatter:
@@ -160,29 +181,23 @@ def g_map(ens: WeightedEnsemble, eta: LocScatter) -> LocScatter:
     if eta.dim != ens.dim:
         raise DimensionMismatch(f"reference has dimension {eta.dim}, "
                                 f"ensemble {ens.dim}")
-    spd = eta.cov
-    root = spd.sqrt()
-    inv_root = spd.inv_sqrt()
-    inner = root @ ens.covs() @ root
-    mixed = np.einsum("k,kij->ij", ens.weights, sqrt_psd_batch(inner))
-    mixed = 0.5 * (mixed + mixed.T)
-    cov = inv_root @ (mixed @ mixed) @ inv_root
-    return LocScatter(_mean_bar(ens), certify_spd(0.5 * (cov + cov.T)))
+    _, cov = _scatter_step(eta.cov, ens.covs(), ens.weights)
+    return LocScatter(ens.weights @ ens.means(), certify_spd(cov))
 
 
 def barycenter_variance(ens: WeightedEnsemble, candidate: LocScatter) -> float:
     """Weighted sum of squared distances from the members to ``candidate``."""
-    return float(ens.weights @ w2_distances_sq(candidate, ens.members))
+    return float(ens.weights @ _bures_sq(candidate, ens.means(), ens.covs()))
 
 
 def log_euclidean_mean(ens: WeightedEnsemble) -> LocScatter:
     """Log-Euclidean aggregate: exp of the weighted mean of matrix logs."""
     logs = np.stack([spd_log(m.cov).entries for m in ens.members])
     avg = SymMatrix(np.einsum("k,kij->ij", ens.weights, logs))
-    return LocScatter(_mean_bar(ens), spd_exp(avg))
+    return LocScatter(ens.weights @ ens.means(), spd_exp(avg))
 
 
 def linear_mean(ens: WeightedEnsemble) -> LocScatter:
     """Arithmetic aggregate: weighted mean of the member scatters."""
     cov = np.einsum("k,kij->ij", ens.weights, ens.covs())
-    return LocScatter(_mean_bar(ens), certify_spd(cov))
+    return LocScatter(ens.weights @ ens.means(), certify_spd(cov))

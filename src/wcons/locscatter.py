@@ -76,14 +76,26 @@ class AffineMap:
         return self.apply(x)
 
 
-def _cross_trace_terms(p: LocScatter, q: LocScatter) -> tuple[float, float, float]:
-    check_same_dim(p.dim, q.dim)
-    root = p.cov.sqrt()
-    inner = root @ q.cov.entries @ root
-    w = np.linalg.eigvalsh(0.5 * (inner + inner.T))
-    cross = 2.0 * float(np.sqrt(np.maximum(w, 0.0)).sum())
-    gap = float(np.sum((p.mean - q.mean) ** 2))
-    return gap, p.cov.trace() + q.cov.trace(), cross
+def _bures_sq(center: LocScatter, means: np.ndarray,
+              covs: np.ndarray) -> np.ndarray:
+    """Squared distances from ``center`` to the stacked members
+    ``means (k, d)``, ``covs (k, d, d)``, with round-off clamped as in
+    :func:`w2_distance_sq`."""
+    check_same_dim(center.dim, means.shape[1], covs.shape[2])
+    root = center.cov.sqrt()
+    inner = root @ covs @ root
+    inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
+    w = np.linalg.eigvalsh(inner)
+    cross = 2.0 * np.sqrt(np.maximum(w, 0.0)).sum(axis=1)
+    gaps = ((means - center.mean) ** 2).sum(axis=1)
+    traces = np.trace(covs, axis1=1, axis2=2) + center.cov.trace()
+    out = gaps + traces - cross
+    scale = np.maximum(traces + gaps, 1e-300)
+    bad = out < -1e-10 * scale
+    if np.any(bad):
+        raise ArithmeticError(
+            f"distance computation lost positivity: {out[bad].min():.3e}")
+    return np.maximum(out, 0.0)
 
 
 def w2_distance_sq(p: LocScatter, q: LocScatter) -> float:
@@ -92,15 +104,7 @@ def w2_distance_sq(p: LocScatter, q: LocScatter) -> float:
     Tiny negative round-off (within 1e-10 of the problem scale) is clamped
     to zero so the result is a valid squared distance.
     """
-    gap, traces, cross = _cross_trace_terms(p, q)
-    value = gap + traces - cross
-    if value < 0.0:
-        scale = traces + gap
-        if value < -1e-10 * scale:
-            raise ArithmeticError(
-                f"distance computation lost positivity: {value:.3e}")
-        value = 0.0
-    return value
+    return float(_bures_sq(p, q.mean[None], q.cov.entries[None])[0])
 
 
 def w2_distances_sq(center: LocScatter, members) -> np.ndarray:
@@ -108,21 +112,9 @@ def w2_distances_sq(center: LocScatter, members) -> np.ndarray:
     members = list(members)
     if not members:
         return np.zeros(0)
-    root = center.cov.sqrt()
-    covs = np.stack([m.cov.entries for m in members])
-    inner = root @ covs @ root
-    inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
-    w = np.linalg.eigvalsh(inner)
-    cross = 2.0 * np.sqrt(np.maximum(w, 0.0)).sum(axis=1)
-    means = np.stack([m.mean for m in members])
-    gaps = ((means - center.mean) ** 2).sum(axis=1)
-    traces = np.trace(covs, axis1=1, axis2=2) + center.cov.trace()
-    out = gaps + traces - cross
-    scale = np.maximum(traces + gaps, 1e-300)
-    bad = out < -1e-10 * scale
-    if np.any(bad):
-        raise ArithmeticError("distance computation lost positivity in batch")
-    return np.maximum(out, 0.0)
+    check_same_dim(center.dim, *(m.dim for m in members))
+    return _bures_sq(center, np.stack([m.mean for m in members]),
+                     np.stack([m.cov.entries for m in members]))
 
 
 def optimal_map(p: LocScatter, q: LocScatter) -> AffineMap:

@@ -22,8 +22,7 @@ from .barycenter import (WeightedEnsemble, fixed_point_barycenter,
 from .errors import InvalidInput, SingularSubset
 from .locscatter import LocScatter, w2_distance_sq
 from .rng import RngState
-from .runtime import map_indexed
-from .spd import certify_spd
+from .spd import SpdMatrix, certify_spd
 from .trimming import TrimConfig, TrimmedResult, trimmed_barycenter
 
 __all__ = [
@@ -54,7 +53,7 @@ def _generator(rng) -> np.random.Generator:
     raise InvalidInput(f"expected RngState or numpy Generator, got {type(rng)}")
 
 
-def random_spd(dim: int, condition_cap: float, rng) -> "certify_spd":
+def random_spd(dim: int, condition_cap: float, rng) -> SpdMatrix:
     """Random positive definite matrix with condition number <= cap.
 
     Eigenvalues are log-uniform on [cap^-1/2, cap^1/2] and the eigenbasis
@@ -393,11 +392,8 @@ def consistency_harness(law, n_values, alpha: float, reps: int,
                          seed=state.split(_AGGREGATE_TAG).seed)
         return trimmed_barycenter(ens, cfg)
 
-    def task(t: int) -> TrimmedResult:
-        i, _ = divmod(t, reps)
-        return solve(base.split(t), n_values[i])
-
-    results = map_indexed(task, range(len(n_values) * reps))
+    results = [solve(base.split(t), n_values[t // reps])
+               for t in range(len(n_values) * reps)]
     reference = solve(base.split(len(n_values) * reps), max(n_values))
     rows = []
     for i, n in enumerate(n_values):

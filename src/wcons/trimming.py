@@ -15,11 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .barycenter import WeightedEnsemble, fixed_point_barycenter
+from .barycenter import WeightedEnsemble, _barycenter
 from .errors import BadWeights, DegenerateTrim, InvalidInput, UnsupportedConfiguration
-from .locscatter import LocScatter, w2_distances_sq
+from .locscatter import LocScatter, _bures_sq
 from .rng import RngState
-from .runtime import map_indexed
 
 __all__ = [
     "TrimConfig",
@@ -53,6 +52,12 @@ class TrimConfig:
             raise InvalidInput(f"alpha must lie in [0, 1), got {self.alpha}")
         if self.restarts < 1:
             raise InvalidInput("need at least one restart")
+        if self.outer_max_iter < 1:
+            raise InvalidInput("need at least one outer iteration")
+        if self.inner_max_iter < 0:
+            raise InvalidInput("inner_max_iter must be nonnegative")
+        if not (np.isfinite(self.inner_tol) and self.inner_tol > 0.0):
+            raise InvalidInput("inner_tol must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,19 +118,18 @@ def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int):
     """One multistart path; returns (bary, weights, variance, history)."""
     gen = RngState(cfg.seed).split(index).generator()
     center = ens.members[int(gen.integers(ens.size))]
+    means, covs = ens.means(), ens.covs()
     lam_final = None
     var = None
     history: list[float] = []
     for _ in range(cfg.outer_max_iter):
-        d2 = w2_distances_sq(center, ens.members)
-        lam_star = trim_weights(d2, ens.weights, cfg.alpha)
+        lam_star = trim_weights(_bures_sq(center, means, covs), ens.weights,
+                                cfg.alpha)
         if lam_final is not None and np.array_equal(lam_star, lam_final):
             break
         active = lam_star > 0.0
-        sub = WeightedEnsemble(lam_star[active],
-                               tuple(m for m, a in zip(ens.members, active) if a))
-        res = fixed_point_barycenter(sub, tol=cfg.inner_tol,
-                                     max_iter=cfg.inner_max_iter)
+        res = _barycenter(lam_star[active], means[active], covs[active],
+                          cfg.inner_tol, cfg.inner_max_iter)
         center = res.bary
         new_var = res.variance
         history.append(new_var)
@@ -137,6 +141,21 @@ def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int):
     return center, lam_final, var, history
 
 
+def _trimmed_result(ens: WeightedEnsemble, bary: LocScatter,
+                    lam_star: np.ndarray, variance: float,
+                    outer_iterations: int, restart_index: int,
+                    history, restart_variances) -> TrimmedResult:
+    """Package a solution; the radius is measured over the kept atoms."""
+    d2 = _bures_sq(bary, ens.means(), ens.covs())
+    return TrimmedResult(bary=bary, active_weights=lam_star,
+                         trimmed_variance=float(variance),
+                         outer_iterations=outer_iterations,
+                         restart_index=restart_index,
+                         radius=float(np.sqrt(np.max(d2[lam_star > 0.0]))),
+                         variance_history=tuple(history),
+                         restart_variances=tuple(restart_variances))
+
+
 def trimmed_barycenter(ens: WeightedEnsemble, cfg: TrimConfig) -> TrimmedResult:
     """Best trimmed barycenter over ``cfg.restarts`` seeded starting atoms.
 
@@ -145,24 +164,15 @@ def trimmed_barycenter(ens: WeightedEnsemble, cfg: TrimConfig) -> TrimmedResult:
     (recomputing the barycenter of the kept atoms) until the kept-weight
     vector repeats or the trimmed variance stops improving, and the restart
     with the smallest final variance wins; ties go to the lowest restart
-    index.  Results depend only on the ensemble and the config.
+    index.  Restarts run in order; results depend only on the ensemble and
+    the config.
     """
-    paths = map_indexed(lambda r: _restart_path(ens, cfg, r),
-                        range(cfg.restarts))
-    finals = tuple(p[2] for p in paths)
-    best = 0
-    for r in range(1, len(paths)):
-        if finals[r] < finals[best]:
-            best = r
+    paths = [_restart_path(ens, cfg, r) for r in range(cfg.restarts)]
+    finals = [p[2] for p in paths]
+    best = min(range(cfg.restarts), key=finals.__getitem__)
     center, lam_star, var, history = paths[best]
-    d2 = w2_distances_sq(center, ens.members)
-    radius = float(np.sqrt(np.max(d2[lam_star > 0.0])))
-    return TrimmedResult(bary=center, active_weights=lam_star,
-                         trimmed_variance=float(var),
-                         outer_iterations=len(history),
-                         restart_index=best, radius=radius,
-                         variance_history=tuple(history),
-                         restart_variances=finals)
+    return _trimmed_result(ens, center, lam_star, var, len(history), best,
+                           history, finals)
 
 
 @dataclass(frozen=True)
@@ -189,7 +199,7 @@ def verify_ball_property(result: TrimmedResult, ens: WeightedEnsemble,
     if lam_star.shape != ens.weights.shape:
         raise BadWeights("active weights do not match the ensemble")
     full = ens.weights / (1.0 - alpha)
-    d = np.sqrt(w2_distances_sq(result.bary, ens.members))
+    d = np.sqrt(_bures_sq(result.bary, ens.means(), ens.covs()))
     positive = lam_star > 0.0
     violations: list[str] = []
     if not np.any(positive):
@@ -267,24 +277,17 @@ def brute_force_trimmed(ens: WeightedEnsemble, alpha: float,
         raise UnsupportedConfiguration(
             f"alpha = {alpha!r} is not a multiple of 1/{k}")
     keep = k - j
-    best_var = np.inf
-    best_subset = None
-    best_bary = None
+    lam = np.full(keep, 1.0 / keep)
+    means, covs = ens.means(), ens.covs()
+    best = None
     for subset in itertools.combinations(range(k), keep):
-        sub = WeightedEnsemble(np.full(keep, 1.0 / keep),
-                               tuple(ens.members[i] for i in subset))
-        res = fixed_point_barycenter(sub, tol=inner_tol,
-                                     max_iter=inner_max_iter)
-        if res.variance < best_var:
-            best_var = res.variance
-            best_subset = subset
-            best_bary = res.bary
+        idx = list(subset)
+        res = _barycenter(lam, means[idx], covs[idx], inner_tol,
+                          inner_max_iter)
+        if best is None or res.variance < best[0].variance:
+            best = res, idx
+    res, idx = best
     lam_star = np.zeros(k)
-    lam_star[list(best_subset)] = 1.0 / keep
-    d2 = w2_distances_sq(best_bary, ens.members)
-    radius = float(np.sqrt(np.max(d2[list(best_subset)])))
-    return TrimmedResult(bary=best_bary, active_weights=lam_star,
-                         trimmed_variance=float(best_var),
-                         outer_iterations=0, restart_index=0, radius=radius,
-                         variance_history=(float(best_var),),
-                         restart_variances=(float(best_var),))
+    lam_star[idx] = 1.0 / keep
+    return _trimmed_result(ens, res.bary, lam_star, res.variance, 0, 0,
+                           (res.variance,), (res.variance,))

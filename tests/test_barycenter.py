@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from wcons import (BadWeights, DimensionMismatch, LocScatter,
+from wcons import (BadWeights, DimensionMismatch, InvalidInput, LocScatter,
                    MaxIterationsExceeded, WeightedEnsemble,
                    barycenter_variance, certify_spd, fixed_point_barycenter,
                    g_map, gaussian_quantiles, linear_mean, log_euclidean_mean,
@@ -60,6 +60,17 @@ class TestWeightedEnsemble:
         ens = sigma_trio()
         assert ens.means().shape == (3, 1)
         assert ens.covs().shape == (3, 1, 1)
+
+    def test_stacks_are_built_once_read_only(self):
+        ens = sigma_trio()
+        assert ens.means() is ens.means() and ens.covs() is ens.covs()
+        for i, m in enumerate(ens.members):
+            np.testing.assert_array_equal(ens.means()[i], m.mean)
+            np.testing.assert_array_equal(ens.covs()[i], m.cov.entries)
+        with pytest.raises(ValueError):
+            ens.covs()[0, 0, 0] = 9.0
+        with pytest.raises(ValueError):
+            ens.means()[0, 0] = 9.0
 
     def test_weights_read_only(self):
         ens = sigma_trio()
@@ -228,6 +239,23 @@ class TestFixedPointBarycenter:
         assert err.value.last_iterate is not None
         assert err.value.residual is not None
 
+    def test_bad_budgets_rejected(self):
+        ens = sigma_trio()
+        for kwargs in ({"max_iter": -1}, {"tol": 0.0}, {"tol": -1e-12},
+                       {"tol": float("nan")}, {"tol": float("inf")}):
+            with pytest.raises(InvalidInput):
+                fixed_point_barycenter(ens, **kwargs)
+
+    def test_zero_budget_accepts_a_converged_start(self):
+        p = gauss([1.0, -1.0], [[2.0, 0.4], [0.4, 1.0]])
+        res = fixed_point_barycenter(WeightedEnsemble.equal_weights((p,)),
+                                     max_iter=0)
+        assert res.iterations == 0
+
+    def test_init_of_other_dimension_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            fixed_point_barycenter(sigma_trio(), init=certify_spd(np.eye(2)))
+
     def test_init_at_solution_converges_immediately(self):
         ens = sigma_trio()
         solved = fixed_point_barycenter(ens)
@@ -307,6 +335,10 @@ class TestVariance:
         assert res.bary.mean[0] == pytest.approx(1.0, abs=1e-12)
         assert res.bary.cov.entries[0, 0] == pytest.approx(1.0, abs=1e-10)
         assert res.variance == pytest.approx(1.0, abs=1e-10)
+
+    def test_candidate_of_other_dimension_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            barycenter_variance(sigma_trio(), gauss([0.0, 0.0], np.eye(2)))
 
     def test_direct_sum_definition(self):
         gen = np.random.default_rng(65)

@@ -121,6 +121,14 @@ class TestBarycenter:
         assert code == 2
         assert "solver failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--max-iter", "-1"], ["--tol", "nan"],
+                                       ["--tol", "0"]])
+    def test_bad_budget_is_exit_1(self, sigma_trio_path, flags, capsys):
+        code = run_command(["barycenter", sigma_trio_path] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestTrim:
     def test_far_outlier_dropped(self, far_outlier_path, tmp_path, capsys):

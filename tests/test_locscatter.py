@@ -93,6 +93,14 @@ class TestDistance:
         loop = [w2_distance_sq(center, m) for m in members]
         np.testing.assert_allclose(batch, loop, rtol=1e-10, atol=1e-12)
 
+    def test_batched_distances_reject_other_dimension(self):
+        gen = np.random.default_rng(27)
+        members = [random_member(gen, 2), random_member(gen, 3)]
+        with pytest.raises(DimensionMismatch):
+            w2_distances_sq(random_member(gen, 2), members)
+        with pytest.raises(DimensionMismatch):
+            w2_distances_sq(random_member(gen, 3), members[:1])
+
     def test_batched_distances_empty(self):
         gen = np.random.default_rng(26)
         assert w2_distances_sq(random_member(gen, 2), []).shape == (0,)

@@ -15,7 +15,6 @@ import pytest
 from wcons import (InvalidInput, LocScatter, RngState, SingularSubset,
                    certify_spd, w2_distance_sq)
 from wcons.rng import splitmix64
-from wcons.runtime import map_indexed, worker_count
 from wcons.simulation import (HospitalConfig, _c_step_paths,
                               _hospital_units, c_step_path,
                               consistency_harness, ellipse_points,
@@ -117,43 +116,6 @@ class TestRngState:
 
     def test_algorithm_tag(self):
         assert RngState(0).algorithm == "pcg64-splitmix64"
-
-
-class TestWorkerCount:
-    def test_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv("WCONS_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_zero_means_cpu_count(self, monkeypatch):
-        monkeypatch.setenv("WCONS_THREADS", "0")
-        assert worker_count() >= 1
-
-    def test_explicit_count(self, monkeypatch):
-        monkeypatch.setenv("WCONS_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_invalid_values_rejected(self, monkeypatch):
-        monkeypatch.setenv("WCONS_THREADS", "abc")
-        with pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.setenv("WCONS_THREADS", "-1")
-        with pytest.raises(ValueError):
-            worker_count()
-
-    def test_map_indexed_preserves_order_with_threads(self, monkeypatch):
-        import time
-
-        monkeypatch.setenv("WCONS_THREADS", "4")
-
-        def slow_identity(i):
-            time.sleep(0.002 * (7 - i))
-            return i
-
-        assert map_indexed(slow_identity, range(8)) == list(range(8))
-
-    def test_map_indexed_sequential(self, monkeypatch):
-        monkeypatch.delenv("WCONS_THREADS", raising=False)
-        assert map_indexed(lambda x: x * x, [1, 2, 3]) == [1, 4, 9]
 
 
 class TestRandomSpd:

@@ -106,6 +106,17 @@ class TestTrimConfig:
         with pytest.raises(InvalidInput):
             TrimConfig(alpha=0.1, restarts=0)
 
+    def test_iteration_budgets_and_tolerance(self):
+        for kwargs in ({"outer_max_iter": 0}, {"inner_max_iter": -1},
+                       {"inner_tol": 0.0}, {"inner_tol": float("nan")},
+                       {"inner_tol": float("inf")}):
+            with pytest.raises(InvalidInput):
+                TrimConfig(alpha=0.2, **kwargs)
+
+    def test_smallest_budgets_accepted(self):
+        cfg = TrimConfig(alpha=0.2, outer_max_iter=1, inner_max_iter=0)
+        assert cfg.outer_max_iter == 1 and cfg.inner_max_iter == 0
+
 
 class TestTrimmedBarycenter:
     def test_alpha_zero_equals_plain_barycenter(self):
@@ -307,6 +318,14 @@ class TestBruteForce:
         plain = fixed_point_barycenter(ens)
         assert res.trimmed_variance == pytest.approx(plain.variance,
                                                      rel=1e-10)
+
+    def test_bad_inner_budget_rejected(self):
+        with pytest.raises(InvalidInput):
+            brute_force_trimmed(far_outlier_trio(), 1.0 / 3.0,
+                                inner_max_iter=-1)
+        with pytest.raises(InvalidInput):
+            brute_force_trimmed(far_outlier_trio(), 1.0 / 3.0,
+                                inner_tol=float("nan"))
 
     def test_far_outlier_keeps_near_pair(self):
         res = brute_force_trimmed(far_outlier_trio(), 1.0 / 3.0)
