@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (BadWeights, DimensionMismatch, InvalidInput,
-                     MaxIterationsExceeded)
+                     MaxIterationsExceeded, check_count)
 from .locscatter import LocScatter, _bures_sq
 from .spd import (SpdMatrix, SymMatrix, certify_spd, check_same_dim, spd_exp,
                   spd_log, sqrt_psd_batch)
@@ -131,8 +131,7 @@ def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
     the weighted mean of the scatters."""
     if not (np.isfinite(tol) and tol > 0.0):
         raise InvalidInput(f"tol must be finite and positive, got {tol!r}")
-    if max_iter < 0:
-        raise InvalidInput(f"max_iter must be nonnegative, got {max_iter}")
+    check_count(max_iter, "max_iter", 0)
     s = np.einsum("k,kij->ij", lam, covs) if start is None else start
     for step in range(max_iter + 1):
         spd = certify_spd(s)

@@ -1,8 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check."""
+
+import operator
 
 
 class InvalidInput(ValueError):
     """Malformed numeric input (wrong shape, non-finite entries, bad scalar)."""
+
+
+def check_count(value, name: str, minimum: int) -> None:
+    """Raise :class:`InvalidInput` unless ``value`` is an integer (Python or
+    numpy) of at least ``minimum``."""
+    try:
+        ok = operator.index(value) >= minimum
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InvalidInput(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class DimensionMismatch(InvalidInput):

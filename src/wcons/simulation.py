@@ -12,14 +12,14 @@ never matters.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
 
 from .barycenter import (WeightedEnsemble, fixed_point_barycenter,
                          linear_mean)
-from .errors import InvalidInput, SingularSubset
+from .errors import InvalidInput, SingularSubset, check_count
 from .locscatter import LocScatter, w2_distance_sq
 from .rng import RngState
 from .spd import SpdMatrix, certify_spd
@@ -168,8 +168,7 @@ def _mcd_fits(clouds: np.ndarray, h: int, restarts: int,
     u, n, d = clouds.shape
     if not d + 1 <= h <= n:
         raise InvalidInput(f"need d+1 <= h <= n, got h={h}, n={n}, d={d}")
-    if restarts < 1:
-        raise InvalidInput("need at least one restart")
+    check_count(restarts, "restarts", 1)
     attempts = np.full(u, 10 * restarts)
     needed = np.full(u, restarts)
     best_logdet = np.zeros(u)
@@ -241,8 +240,8 @@ class HospitalConfig:
     trim_restarts: int = 10
 
     def __post_init__(self):
-        if self.k < 1 or self.n < 1:
-            raise InvalidInput("k and n must be positive")
+        for name in ("k", "n", "mcd_restarts", "trim_restarts"):
+            check_count(getattr(self, name), name, 1)
         if self.inlier.dim != self.outlier.dim:
             raise InvalidInput("inlier and outlier dimensions differ")
         if self.contamination_beta is not None:
@@ -270,12 +269,63 @@ class HospitalReport:
     config: HospitalConfig
 
 
+def _gamma_term(a: float, y: float) -> float:
+    """``y^a e^-y / Gamma(a+1)``, the step ``P(a, y) - P(a+1, y)`` of the
+    regularized lower incomplete gamma function."""
+    return math.exp(a * math.log(y) - y - math.lgamma(a + 1.0))
+
+
+def _gamma_series(a: float, y: float) -> float:
+    """``P(a+1, y) / (y^a e^-y / Gamma(a+1))``, the positive series
+    ``sum_{k>=1} y^k / ((a+1)...(a+k))``."""
+    total, term, k = 0.0, 1.0, 0
+    while total + term != total:
+        k += 1
+        term *= y / (a + k)
+        total += term
+    return total
+
+
+def _chi2_cdf(x: float, dof: int) -> float:
+    """Chi-square CDF for integer ``dof``: ``P(dof/2, x/2)``, stepped up
+    from ``P(1, y) = 1 - e^-y`` (even) or ``P(1/2, y) = erf(sqrt y)`` (odd)."""
+    y = 0.5 * x
+    a, p = (0.5, math.erf(math.sqrt(y))) if dof % 2 else (1.0, -math.expm1(-y))
+    while a < 0.5 * dof:
+        p -= _gamma_term(a, y)
+        a += 1.0
+    return p
+
+
 def mcd_consistency_factor(coverage: float, dim: int) -> float:
     """Expected shrinkage of the covariance of the central ``coverage``
     fraction of a Gaussian sample; dividing a raw h-subset covariance by
-    this factor makes the estimate consistent on clean data."""
-    q = chi2.ppf(coverage, dim)
-    return float(chi2.cdf(q, dim + 2) / coverage)
+    this factor makes the estimate consistent on clean data.
+
+    The factor is ``F_{d+2}(q) / c`` with ``q`` the ``c``-quantile of the
+    chi-square law with ``d`` degrees of freedom (Croux & Haesbroeck 1999).
+    ``q`` is found by bisection and ``F_{d+2}(q) = c - t`` with ``t =
+    (q/2)^{d/2} e^{-q/2} / Gamma(d/2 + 1)``; where ``t`` exceeds ``c/2`` that
+    difference would cancel, and ``F_{d+2}(q)`` is summed as a positive
+    series instead.  Full coverage gives exactly 1.
+    """
+    if not 0.0 < coverage <= 1.0:
+        raise InvalidInput(f"coverage must lie in (0, 1], got {coverage!r}")
+    check_count(dim, "dim", 1)
+    if coverage == 1.0:
+        return 1.0
+    lo, hi = 0.0, float(dim)
+    while _chi2_cdf(hi, dim) < coverage:
+        lo, hi = hi, 2.0 * hi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if _chi2_cdf(mid, dim) < coverage else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    # lo stays 0 only for coverages below the CDF at the smallest float.
+    a, y = 0.5 * dim, 0.5 * (lo or hi)
+    drop = _gamma_term(a, y) / coverage
+    # 1 - drop cancels when the factor is small; the series does not.
+    return 1.0 - drop if drop <= 0.5 else drop * _gamma_series(a, y)
 
 
 def _sample_member(p: LocScatter, count: int,
@@ -380,8 +430,9 @@ def consistency_harness(law, n_values, alpha: float, reps: int,
     n_values = [int(n) for n in n_values]
     if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise InvalidInput("ensemble sizes must be strictly ascending")
-    if n_values[0] < 1 or reps < 1:
-        raise InvalidInput("sizes and reps must be positive")
+    if n_values[0] < 1:
+        raise InvalidInput("ensemble sizes must be positive")
+    check_count(reps, "reps", 1)
     base = RngState(seed)
 
     def solve(state: RngState, count: int) -> TrimmedResult:

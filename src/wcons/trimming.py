@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .barycenter import WeightedEnsemble, _barycenter
-from .errors import BadWeights, DegenerateTrim, InvalidInput, UnsupportedConfiguration
+from .errors import (BadWeights, DegenerateTrim, InvalidInput,
+                     UnsupportedConfiguration, check_count)
 from .locscatter import LocScatter, _bures_sq
 from .rng import RngState
 
@@ -50,12 +51,9 @@ class TrimConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise InvalidInput(f"alpha must lie in [0, 1), got {self.alpha}")
-        if self.restarts < 1:
-            raise InvalidInput("need at least one restart")
-        if self.outer_max_iter < 1:
-            raise InvalidInput("need at least one outer iteration")
-        if self.inner_max_iter < 0:
-            raise InvalidInput("inner_max_iter must be nonnegative")
+        check_count(self.restarts, "restarts", 1)
+        check_count(self.outer_max_iter, "outer_max_iter", 1)
+        check_count(self.inner_max_iter, "inner_max_iter", 0)
         if not (np.isfinite(self.inner_tol) and self.inner_tol > 0.0):
             raise InvalidInput("inner_tol must be finite and positive")
 

@@ -8,9 +8,9 @@ functions.  Both are evaluated on a midpoint grid t_i = (i - 1/2) / N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import BadWeights, GridMismatch, InvalidInput
 
@@ -100,8 +100,9 @@ def variance_1d(weights, grids, bary: QuantileGrid) -> float:
 def gaussian_quantiles(mean: float, sigma: float, size: int = DEFAULT_GRID_SIZE) -> QuantileGrid:
     """Quantile grid of a normal law N(mean, sigma^2).
 
-    The standard normal quantiles are computed for the lower half of the
-    grid and mirrored, so the grid is antisymmetric about its center up to
+    The standard normal quantiles, from the standard library's
+    ``statistics.NormalDist().inv_cdf``, are computed for the lower half of
+    the grid and mirrored, so the grid is antisymmetric about its center up to
     the placement of ``mean``.
     """
     if sigma <= 0.0:
@@ -111,7 +112,7 @@ def gaussian_quantiles(mean: float, sigma: float, size: int = DEFAULT_GRID_SIZE)
     z = np.empty(size)
     half = size // 2
     t = (np.arange(1, half + 1) - 0.5) / size
-    lower = ndtri(t)
+    lower = np.array(list(map(NormalDist().inv_cdf, t.tolist())))
     z[:half] = lower
     z[size - half:] = -lower[::-1]
     if size % 2 == 1:

@@ -2,8 +2,10 @@
 exit codes, and byte-stable reruns."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,3 +401,15 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         summary = parse_summary(proc.stdout)
         assert float(summary["w2_sq"]) == pytest.approx(8.0, abs=1e-9)
+
+    def test_import_loads_no_scipy(self):
+        # wcons needs only numpy; a fresh interpreter shows what the
+        # package import itself pulls in.
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys, wcons; print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from wcons import (InvalidInput, LocScatter, RngState, SingularSubset,
-                   certify_spd, w2_distance_sq)
+                   brute_force_trimmed, certify_spd, fixed_point_barycenter,
+                   w2_distance_sq)
 from wcons.rng import splitmix64
 from wcons.simulation import (HospitalConfig, _c_step_paths,
                               _hospital_units, c_step_path,
@@ -150,6 +151,54 @@ class TestRandomSpd:
             random_spd(2, 4.0, 123)
 
 
+# mcd_consistency_factor(c, d) for the coverages below, computed once with
+# scipy 1.17.1 as chi2.cdf(chi2.ppf(c, d), d + 2) / c before the package
+# stopped depending on scipy.
+FACTOR_COVERAGES = (0.05, 0.25, 0.5, 0.75, 0.8, 0.9, 0.95, 0.99)
+FACTOR_TABLE = {
+    1: (0.0013100262742689833, 0.03338775338359955,
+        0.14265183548851845, 0.3685240509835625,
+        0.4377245949036396, 0.6230154841346819,
+        0.7588416170698973, 0.9247558993726854),
+    2: (0.025427406636539876, 0.13695378264465724,
+        0.3068528194400549, 0.537901879626703,
+        0.5976405218914748, 0.7441572118895506,
+        0.8423298803392634, 0.9534831294344637),
+    3: (0.06894387666373794, 0.2253225359901879,
+        0.40693947031039235, 0.6214335475664503,
+        0.6735492822058815, 0.7971993923878874,
+        0.8771091946780276, 0.9646917493822823),
+    4: (0.11486557516383535, 0.2932747161235143,
+        0.474144196140833, 0.6727593515575516,
+        0.7194169272242151, 0.828098286083815,
+        0.8968957017811584, 0.9708622709133778),
+    5: (0.15742805183664293, 0.3464566285464929,
+        0.5229556457249017, 0.7081796576626381,
+        0.7507566261686252, 0.8487453827858352,
+        0.9099227681466951, 0.9748391080515669),
+    6: (0.19549596363039212, 0.3892618979303005,
+        0.5603949198685169, 0.7344353094003848,
+        0.7738296564095228, 0.863712847733243,
+        0.9192675439251066, 0.9776479621701144),
+    7: (0.22927700445973576, 0.42459052237410494,
+        0.5902580987046684, 0.7548636877773239,
+        0.7916913209536577, 0.8751660386012794,
+        0.926361183004559, 0.9797546885349032),
+    8: (0.25930079691762586, 0.45436220338901256,
+        0.6147856448216727, 0.7713241553575192,
+        0.8060269848087406, 0.884274648776564,
+        0.9319667617393586, 0.9814033574231762),
+    9: (0.2861155591455638, 0.47988476360522275,
+        0.6353921186248961, 0.784943015448469,
+        0.8178500464088906, 0.8917309777292998,
+        0.9365314084139086, 0.9827350239629971),
+    10: (0.3102056184701273, 0.5020776091775806,
+        0.6530189367798627, 0.7964465369680479,
+        0.8278102125043522, 0.8979733494133169,
+        0.9403359419682789, 0.9838372830026686),
+}
+
+
 class TestConsistencyFactor:
     def test_two_dimensional_closed_form(self):
         # For d = 2 the chi-square quantile and CDF are elementary:
@@ -170,6 +219,22 @@ class TestConsistencyFactor:
         for cov in (0.5, 0.8, 0.95):
             for dim in (1, 2, 5):
                 assert 0.0 < mcd_consistency_factor(cov, dim) < 1.0
+
+    @pytest.mark.parametrize("dim", sorted(FACTOR_TABLE))
+    def test_matches_pinned_reference_values(self, dim):
+        for cov, expect in zip(FACTOR_COVERAGES, FACTOR_TABLE[dim]):
+            assert mcd_consistency_factor(cov, dim) == pytest.approx(
+                expect, rel=1e-13, abs=0.0)
+
+    def test_full_coverage_is_exactly_one(self):
+        for dim in (1, 2, 5):
+            assert mcd_consistency_factor(1.0, dim) == 1.0
+
+    def test_argument_validation(self):
+        for cov, dim in ((0.0, 2), (1.5, 2), (float("nan"), 2), (0.8, 0),
+                         (0.8, 2.5)):
+            with pytest.raises(InvalidInput):
+                mcd_consistency_factor(cov, dim)
 
 
 class TestCStepPath:
@@ -403,9 +468,15 @@ class TestHospitalExperiment:
                                           cov.entries)
 
     def test_report_bytes_are_pinned(self):
-        # Digest computed at commit e937dd7, which fitted every unit's MCD
-        # restarts one concentration path at a time; the batched unit stage
-        # must reproduce that report bit for bit.
+        # The batched unit stage reproduced bit for bit the report of commit
+        # e937dd7, which fitted every unit's MCD restarts one concentration
+        # path at a time (digest a6c7e07a...eb2b25).  The digest below was
+        # re-pinned when scipy's chi2 gave way to the closed-form
+        # consistency factor: at (0.8, 2) it is 0.5976405218914749, the
+        # correctly rounded 1 + 0.25 ln 0.2, where scipy gave ...748.  With
+        # mcd_consistency_factor patched back to scipy's value, the
+        # scipy-free code still gives a6c7e07a...eb2b25, so that ulp is the
+        # only change.
         cfg = HospitalConfig(k=12, n=40, seed=1, mcd_restarts=3,
                              trim_restarts=3)
         rep = hospital_experiment(cfg)
@@ -419,8 +490,8 @@ class TestHospitalExperiment:
         for a in parts:
             digest.update(np.ascontiguousarray(
                 a, dtype=a.dtype.newbyteorder("<")).tobytes())
-        assert digest.hexdigest() == ("a6c7e07ac8946a8ea1497e65151b5377"
-                                      "e072400014d02737ded81e23edeb2b25")
+        assert digest.hexdigest() == ("41e9e8125150667c83870d0b4541c721"
+                                      "c402c04ba127b27dcf8b02ba3782e83c")
 
     def test_different_seeds_differ(self):
         base = dict(k=10, n=40, mcd_restarts=2, trim_restarts=3)
@@ -538,3 +609,49 @@ class TestPackagedToyEnsemble:
         np.testing.assert_array_equal(res.active_weights[4:], [0.0, 0.0])
         np.testing.assert_allclose(res.active_weights[:4], np.full(4, 0.25),
                                    atol=1e-12)
+
+
+def _toy():
+    return ellipse_toy_ensemble().ensemble
+
+
+# Each call passes a non-integer count that used to reach ``range`` or a
+# sequence repetition and end in ``TypeError``.
+NON_INTEGER_COUNTS = {
+    "TrimConfig.restarts": lambda: TrimConfig(alpha=0.2, restarts=2.5),
+    "TrimConfig.outer_max_iter": lambda: TrimConfig(alpha=0.2,
+                                                    outer_max_iter=2.5),
+    "TrimConfig.inner_max_iter": lambda: TrimConfig(alpha=0.2,
+                                                    inner_max_iter=3.5),
+    "fixed_point_barycenter.max_iter": lambda: fixed_point_barycenter(
+        _toy(), max_iter=2.5),
+    "brute_force_trimmed.inner_max_iter": lambda: brute_force_trimmed(
+        _toy(), 1.0 / 6.0, inner_max_iter=3.5),
+    "HospitalConfig.k": lambda: HospitalConfig(k=3.5),
+    "HospitalConfig.n": lambda: HospitalConfig(n=40.5),
+    "HospitalConfig.mcd_restarts": lambda: HospitalConfig(mcd_restarts=2.5),
+    "HospitalConfig.trim_restarts": lambda: HospitalConfig(trim_restarts=2.5),
+    "consistency_harness.reps": lambda: consistency_harness(
+        gaussian_parameter_law(), [10, 20], alpha=0.2, reps=1.5, seed=4),
+    "consistency_harness.restarts": lambda: consistency_harness(
+        gaussian_parameter_law(), [10, 20], alpha=0.2, reps=2, seed=4,
+        restarts=1.5),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_COUNTS.values(),
+                         ids=NON_INTEGER_COUNTS.keys())
+def test_non_integer_counts_are_rejected(call):
+    with pytest.raises(InvalidInput, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_counts_are_accepted():
+    cfg = TrimConfig(alpha=0.2, restarts=np.int64(2),
+                     outer_max_iter=np.int32(50), inner_max_iter=np.int64(500))
+    assert trimmed_barycenter(_toy(), cfg).restart_index in (0, 1)
+    assert fixed_point_barycenter(_toy(), max_iter=np.int64(500)).iterations > 0
+    rep = hospital_experiment(HospitalConfig(
+        k=np.int64(6), n=np.int64(30), mcd_restarts=np.int64(2),
+        trim_restarts=np.int64(2)))
+    assert len(rep.unit_outlier_counts) == 6

@@ -1,7 +1,9 @@
 """Quantile-grid machinery: 1D distances, barycenters and variance.
 
 The normal quantile oracle is an independent bisection on math.erf, so the
-library's ndtri-based grid is checked against a second implementation.
+library's grid, built on the standard library's
+``statistics.NormalDist().inv_cdf``, is checked against a second
+implementation.
 """
 
 import math
