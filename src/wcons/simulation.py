@@ -143,8 +143,10 @@ def c_step_path(points: np.ndarray, h: int, mean: np.ndarray,
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise InvalidInput(f"points must be (n, d), got shape {pts.shape}")
-    if not 1 <= h <= pts.shape[0]:
+    check_count(h, "h", 1)
+    if not h <= pts.shape[0]:
         raise InvalidInput(f"need 1 <= h <= n, got h={h}, n={pts.shape[0]}")
+    check_count(max_steps, "max_steps", 0)
     means, covs, supports, history, steps, failed = _c_step_paths(
         pts[None], np.zeros(1, dtype=np.intp), h, np.asarray(mean)[None],
         np.asarray(cov)[None], max_steps)
@@ -166,6 +168,7 @@ def _mcd_fits(clouds: np.ndarray, h: int, restarts: int,
     completed restart winning ties.
     """
     u, n, d = clouds.shape
+    check_count(h, "h", 1)
     if not d + 1 <= h <= n:
         raise InvalidInput(f"need d+1 <= h <= n, got h={h}, n={n}, d={d}")
     check_count(restarts, "restarts", 1)
@@ -427,11 +430,12 @@ def consistency_harness(law, n_values, alpha: float, reps: int,
     median trimmed variance are reported; the variance gap column is the
     absolute difference to the reference variance.
     """
+    n_values = list(n_values)
+    for n in n_values:
+        check_count(n, "ensemble size", 1)
     n_values = [int(n) for n in n_values]
     if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise InvalidInput("ensemble sizes must be strictly ascending")
-    if n_values[0] < 1:
-        raise InvalidInput("ensemble sizes must be positive")
     check_count(reps, "reps", 1)
     base = RngState(seed)
 

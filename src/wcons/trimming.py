@@ -4,8 +4,11 @@ Trimming a weighted ensemble keeps the fraction 1 - alpha of the weight
 that sits closest to a candidate center, splitting one atom at the boundary
 if needed, and renormalizes.  Alternating that concentration step with a
 barycenter recomputation descends the trimmed variance; multistart guards
-against local minima.  An exhaustive subset search provides an independent
-oracle for small equal-weight ensembles.
+against local minima.  The restarts of one call share their inner
+barycenter solves: a kept-weight vector already solved by an earlier
+restart is not solved again, and since the solve is deterministic the
+results are the same as solving it afresh.  An exhaustive subset search
+provides an independent oracle for small equal-weight ensembles.
 """
 
 from __future__ import annotations
@@ -112,8 +115,14 @@ def trim_weights(distances, weights, alpha: float) -> np.ndarray:
     return kept / target
 
 
-def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int):
-    """One multistart path; returns (bary, weights, variance, history)."""
+def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int,
+                  solved: dict):
+    """One multistart path; returns (bary, weights, variance, history).
+
+    ``solved`` maps the bytes of a kept-weight vector to its barycenter
+    solve; the path reuses an entry instead of solving that set again and
+    adds the solves it makes.
+    """
     gen = RngState(cfg.seed).split(index).generator()
     center = ens.members[int(gen.integers(ens.size))]
     means, covs = ens.means(), ens.covs()
@@ -125,9 +134,13 @@ def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int):
                                 cfg.alpha)
         if lam_final is not None and np.array_equal(lam_star, lam_final):
             break
-        active = lam_star > 0.0
-        res = _barycenter(lam_star[active], means[active], covs[active],
-                          cfg.inner_tol, cfg.inner_max_iter)
+        key = lam_star.tobytes()
+        res = solved.get(key)
+        if res is None:
+            active = lam_star > 0.0
+            res = solved[key] = _barycenter(
+                lam_star[active], means[active], covs[active],
+                cfg.inner_tol, cfg.inner_max_iter)
         center = res.bary
         new_var = res.variance
         history.append(new_var)
@@ -162,10 +175,12 @@ def trimmed_barycenter(ens: WeightedEnsemble, cfg: TrimConfig) -> TrimmedResult:
     (recomputing the barycenter of the kept atoms) until the kept-weight
     vector repeats or the trimmed variance stops improving, and the restart
     with the smallest final variance wins; ties go to the lowest restart
-    index.  Restarts run in order; results depend only on the ensemble and
-    the config.
+    index.  Restarts run in order and share their inner solves, so a kept
+    set reached by several restarts is solved once per call; results
+    depend only on the ensemble and the config.
     """
-    paths = [_restart_path(ens, cfg, r) for r in range(cfg.restarts)]
+    solved: dict = {}
+    paths = [_restart_path(ens, cfg, r, solved) for r in range(cfg.restarts)]
     finals = [p[2] for p in paths]
     best = min(range(cfg.restarts), key=finals.__getitem__)
     center, lam_star, var, history = paths[best]

@@ -12,7 +12,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import BadWeights, GridMismatch, InvalidInput
+from .errors import BadWeights, GridMismatch, InvalidInput, check_count
 
 __all__ = [
     "QuantileGrid",
@@ -107,8 +107,7 @@ def gaussian_quantiles(mean: float, sigma: float, size: int = DEFAULT_GRID_SIZE)
     """
     if sigma <= 0.0:
         raise InvalidInput("sigma must be positive")
-    if size < 2:
-        raise InvalidInput("grid size must be at least 2")
+    check_count(size, "size", 2)
     z = np.empty(size)
     half = size // 2
     t = (np.arange(1, half + 1) - 0.5) / size

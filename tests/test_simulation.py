@@ -23,6 +23,7 @@ from wcons.simulation import (HospitalConfig, _c_step_paths,
                               gaussian_parameter_law, hospital_experiment,
                               mcd_consistency_factor, random_spd)
 from wcons.trimming import TrimConfig, trimmed_barycenter
+from wcons.univariate import gaussian_quantiles
 
 
 def reference_c_step_path(points, h, mean, cov, max_steps=100):
@@ -615,6 +616,10 @@ def _toy():
     return ellipse_toy_ensemble().ensemble
 
 
+def _cloud():
+    return RngState(2).generator().standard_normal((40, 2))
+
+
 # Each call passes a non-integer count that used to reach ``range`` or a
 # sequence repetition and end in ``TypeError``.
 NON_INTEGER_COUNTS = {
@@ -636,6 +641,14 @@ NON_INTEGER_COUNTS = {
     "consistency_harness.restarts": lambda: consistency_harness(
         gaussian_parameter_law(), [10, 20], alpha=0.2, reps=2, seed=4,
         restarts=1.5),
+    "consistency_harness.n_values": lambda: consistency_harness(
+        gaussian_parameter_law(), [10.7, 20], alpha=0.2, reps=2, seed=4),
+    "estimate_mcd.h": lambda: estimate_mcd(_cloud(), 30.5, 3, RngState(2)),
+    "c_step_path.h": lambda: c_step_path(_cloud(), 30.5, np.zeros(2),
+                                         np.eye(2)),
+    "c_step_path.max_steps": lambda: c_step_path(
+        _cloud(), 30, np.zeros(2), np.eye(2), max_steps=2.5),
+    "gaussian_quantiles.size": lambda: gaussian_quantiles(0.0, 1.0, 64.5),
 }
 
 
@@ -655,3 +668,20 @@ def test_numpy_integer_counts_are_accepted():
         k=np.int64(6), n=np.int64(30), mcd_restarts=np.int64(2),
         trim_restarts=np.int64(2)))
     assert len(rep.unit_outlier_counts) == 6
+
+
+def test_numpy_integer_sizes_are_accepted():
+    pts = _cloud()
+    est = estimate_mcd(pts, np.int64(30), np.int32(3), RngState(2))
+    plain = estimate_mcd(pts, 30, 3, RngState(2))
+    np.testing.assert_array_equal(est.mean, plain.mean)
+    np.testing.assert_array_equal(est.cov.entries, plain.cov.entries)
+    *_, history = c_step_path(pts, np.int32(30), np.zeros(2), np.eye(2),
+                              max_steps=np.int64(2))
+    assert 1 <= len(history) <= 2
+    assert gaussian_quantiles(0.0, 1.0, np.int64(64)).size == 64
+    rep = consistency_harness(gaussian_parameter_law(),
+                              [np.int64(10), np.int32(20)], alpha=0.2,
+                              reps=2, seed=4)
+    assert [row.n for row in rep.rows] == [10, 20]
+    assert all(type(row.n) is int for row in rep.rows)

@@ -11,11 +11,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wcons import (BadWeights, DegenerateTrim, InvalidInput, TrimConfig,
-                   TrimmedResult, UnsupportedConfiguration, WeightedEnsemble,
-                   brute_force_trimmed, fixed_point_barycenter,
-                   trim_weights, trimmed_barycenter, variance_curve,
-                   verify_ball_property, w2_distances_sq)
+import wcons.trimming as trimming
+from wcons import (BadWeights, DegenerateTrim, InvalidInput, LocScatter,
+                   TrimConfig, TrimmedResult, UnsupportedConfiguration,
+                   WeightedEnsemble, brute_force_trimmed, ellipse_toy_ensemble,
+                   fixed_point_barycenter, trim_weights, trimmed_barycenter,
+                   variance_curve, verify_ball_property, w2_distances_sq)
 
 from helpers import far_outlier_trio, gauss_1d, random_ensemble
 
@@ -229,6 +230,69 @@ class TestTrimmedBarycenter:
         assert len(res.restart_variances) == 5
         assert res.trimmed_variance == min(res.restart_variances)
         assert res.restart_variances[res.restart_index] == res.trimmed_variance
+
+
+def far_outlier_ensemble(seed, k, dim):
+    """Random ensemble whose every fifth member is moved far away."""
+    ens = random_ensemble(np.random.default_rng(seed), k, dim)
+    members = tuple(
+        LocScatter(m.mean + (50.0 if i % 5 == 0 else 0.0), m.cov)
+        for i, m in enumerate(ens.members))
+    return WeightedEnsemble(ens.weights, members)
+
+
+def unshared_trimmed_barycenter(ens, cfg):
+    """Every restart solves its kept sets afresh; otherwise the same
+    selection and packaging as ``trimmed_barycenter``."""
+    paths = [trimming._restart_path(ens, cfg, r, {})
+             for r in range(cfg.restarts)]
+    finals = [p[2] for p in paths]
+    best = min(range(cfg.restarts), key=finals.__getitem__)
+    center, lam_star, var, history = paths[best]
+    return trimming._trimmed_result(ens, center, lam_star, var, len(history),
+                                    best, history, finals)
+
+
+def field_bytes(value):
+    """Bit pattern of one ``TrimmedResult`` field."""
+    if isinstance(value, LocScatter):
+        return value.mean.tobytes() + value.cov.entries.tobytes()
+    return repr(type(value)).encode() + np.asarray(value).tobytes()
+
+
+class TestSharedSolves:
+    def test_each_distinct_kept_set_is_solved_once(self, monkeypatch):
+        ens = far_outlier_ensemble(80, 20, 2)
+        cfg = TrimConfig(alpha=0.2, restarts=10, seed=3)
+        # One solve per outer step that does not stop on a repeated set.
+        outer_steps = sum(len(trimming._restart_path(ens, cfg, r, {})[3])
+                          for r in range(cfg.restarts))
+        # A solve is identified by its whole input: the kept weights alone
+        # can coincide for different kept atoms.
+        inputs = []
+        solve = trimming._barycenter
+
+        def counting(lam, means, covs, *args):
+            inputs.append(lam.tobytes() + means.tobytes() + covs.tobytes())
+            return solve(lam, means, covs, *args)
+
+        monkeypatch.setattr(trimming, "_barycenter", counting)
+        trimmed_barycenter(ens, cfg)
+        assert len(inputs) == len(set(inputs))
+        assert len(inputs) < outer_steps
+
+    @pytest.mark.parametrize("restarts", [1, 7])
+    @pytest.mark.parametrize("alpha", [0.0, 0.2])
+    @pytest.mark.parametrize("case", ["toy", "d8_k20"])
+    def test_sharing_changes_no_field(self, case, alpha, restarts):
+        ens = (ellipse_toy_ensemble().ensemble if case == "toy"
+               else far_outlier_ensemble(81, 20, 8))
+        cfg = TrimConfig(alpha=alpha, restarts=restarts, seed=5)
+        shared = trimmed_barycenter(ens, cfg)
+        reference = unshared_trimmed_barycenter(ens, cfg)
+        for f in dataclasses.fields(TrimmedResult):
+            assert (field_bytes(getattr(shared, f.name))
+                    == field_bytes(getattr(reference, f.name))), f.name
 
 
 class TestBallProperty:
