@@ -12,6 +12,17 @@ found by the fixed-point iteration
 which stays in the positive definite cone and converges from any positive
 definite start.  The weighted average of the member S_j is used as the
 starting point.
+
+The iteration converges linearly, so the solver accelerates it with type-II
+Anderson mixing (Walker & Ni 2011): each plain step G(S) is corrected by the
+combination of the last ``ANDERSON_DEPTH`` steps whose residual differences
+best cancel the current residual G(S) - S, a least-squares fit solved
+through its small Gram system.  Every candidate must pass
+:func:`certify_spd`; when it does not, or the Gram system is singular or
+gives a non-finite solution, the plain step is taken and the history is
+cleared.  The stopping rule is checked on the plain step taken from the
+certified iterate, so a returned scatter satisfies the same certificate as
+one from the plain iteration.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (BadWeights, DimensionMismatch, InvalidInput,
-                     MaxIterationsExceeded, check_count)
+                     MaxIterationsExceeded, NotPositiveDefinite, check_count)
 from .locscatter import LocScatter, _bures_sq
 from .spd import (SpdMatrix, SymMatrix, certify_spd, check_same_dim, spd_exp,
                   spd_log, sqrt_psd_batch)
@@ -38,6 +49,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1000
+# Number of earlier steps the Anderson extrapolation mixes.
+ANDERSON_DEPTH = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,18 +136,45 @@ def _scatter_step(spd: SpdMatrix, covs: np.ndarray,
     return mixed, 0.5 * (s_next + s_next.T)
 
 
+def _extrapolate(s_next: np.ndarray, f: np.ndarray, dg: np.ndarray,
+                 df: np.ndarray) -> np.ndarray | None:
+    """Type-II Anderson candidate: the plain iterate ``s_next`` minus the
+    combination of the stored iterate differences ``dg`` whose residual
+    differences ``df`` (one flattened pair per row) best cancel the current
+    residual ``f``.  ``None`` when the Gram system of the residual
+    differences is singular or its solution is not finite."""
+    try:
+        gamma = np.linalg.solve(df @ df.T, df @ f)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(gamma).all():
+        return None
+    cand = s_next - (gamma @ dg).reshape(s_next.shape)
+    return 0.5 * (cand + cand.T)
+
+
 def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
                 tol: float, max_iter: int,
                 start: np.ndarray | None = None) -> BarycenterResult:
     """Barycenter of the stacked members ``means``, ``covs`` weighted by
-    ``lam``; the scatter iteration starts from ``start`` or, by default,
-    the weighted mean of the scatters."""
+    ``lam``; the accelerated scatter iteration starts from ``start`` or, by
+    default, the weighted mean of the scatters."""
     if not (np.isfinite(tol) and tol > 0.0):
         raise InvalidInput(f"tol must be finite and positive, got {tol!r}")
     check_count(max_iter, "max_iter", 0)
     s = np.einsum("k,kij->ij", lam, covs) if start is None else start
+    d = s.shape[0]
+    # Differences of symmetric matrices span d (d + 1) / 2 dimensions; more
+    # pairs than that would make the Gram matrix singular.
+    depth = min(ANDERSON_DEPTH, d * (d + 1) // 2)
+    dg = np.empty((depth, d * d))
+    df = np.empty((depth, d * d))
+    pairs = 0
+    last = None
+    spd = None
     for step in range(max_iter + 1):
-        spd = certify_spd(s)
+        if spd is None:
+            spd = certify_spd(s)
         mixed, s_next = _scatter_step(spd, covs, lam)
         norm_s = np.linalg.norm(s)
         residual = np.linalg.norm(mixed - s) / norm_s
@@ -144,7 +184,27 @@ def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
             return BarycenterResult(
                 bary=bary, iterations=step, residual=float(residual),
                 variance=float(lam @ _bures_sq(bary, means, covs)))
-        s = s_next
+        g = s_next.ravel()
+        f = g - s.ravel()
+        if last is not None:
+            row = pairs % depth
+            np.subtract(g, last[0], out=dg[row])
+            np.subtract(f, last[1], out=df[row])
+            pairs += 1
+        last = g, f
+        s, spd = s_next, None
+        if pairs:
+            held = min(pairs, depth)
+            cand = _extrapolate(s_next, f, dg[:held], df[:held])
+            if cand is not None:
+                try:
+                    s, spd = cand, certify_spd(cand)
+                except NotPositiveDefinite:
+                    pass
+            if spd is None:
+                # No certified candidate: keep the plain step and start the
+                # history again from it.
+                pairs = 0
     raise MaxIterationsExceeded(
         f"scatter iteration did not converge in {max_iter} steps "
         f"(residual {residual:.3e})",
@@ -156,9 +216,13 @@ def fixed_point_barycenter(ens: WeightedEnsemble, tol: float = DEFAULT_TOL,
                            init: SpdMatrix | None = None) -> BarycenterResult:
     """Barycenter of the ensemble with convergence diagnostics.
 
-    Iterates until the relative Frobenius change of the scatter falls
-    below ``tol`` and the relative residual of the fixed-point condition is
-    at most ``10 * tol``; raises :class:`MaxIterationsExceeded` otherwise.
+    Runs the Anderson-accelerated scatter iteration (see the module
+    docstring) until the plain step taken from the current iterate changes
+    the scatter by less than ``tol`` in relative Frobenius norm and the
+    relative residual of the fixed-point condition is at most ``10 * tol``;
+    the returned scatter is that certified iterate.  Raises
+    :class:`MaxIterationsExceeded` when ``max_iter`` steps do not get
+    there.
     ``tol`` must be finite and positive and ``max_iter`` nonnegative.
     The reported variance is the weighted sum of squared distances from
     the members to the barycenter.

@@ -93,8 +93,18 @@ def _bures_sq(center: LocScatter, means: np.ndarray,
     scale = np.maximum(traces + gaps, 1e-300)
     bad = out < -1e-10 * scale
     if np.any(bad):
-        raise ArithmeticError(
-            f"distance computation lost positivity: {out[bad].min():.3e}")
+        # Square roots of the tiny eigenvalues of S^{1/2} S_j S^{1/2}
+        # amplify its round-off.  The flagged rows take the cross term
+        # again as the nuclear norm of L^T L_j, the Cholesky factors of S
+        # and S_j: its singular values need no square root.
+        factor_t = np.linalg.cholesky(center.cov.entries).T
+        sv = np.linalg.svd(factor_t @ np.linalg.cholesky(covs[bad]),
+                           compute_uv=False)
+        out[bad] = gaps[bad] + traces[bad] - 2.0 * sv.sum(axis=1)
+        bad = out < -1e-10 * scale
+        if np.any(bad):
+            raise ArithmeticError(
+                f"distance computation lost positivity: {out[bad].min():.3e}")
     return np.maximum(out, 0.0)
 
 

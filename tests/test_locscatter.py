@@ -11,7 +11,22 @@ from wcons import (AffineMap, DimensionMismatch, InvalidInput, LocScatter,
                    center_split, certify_spd, optimal_map,
                    similarity_pushforward, w2_distance_sq, w2_distances_sq)
 
-from helpers import gauss, gauss_1d, random_member, random_orthogonal
+from helpers import (gauss, gauss_1d, random_ensemble, random_member,
+                     random_orthogonal)
+
+
+def eigvalsh_bures_sq(center, means, covs):
+    """The kernel's first pass alone: the cross term from the eigenvalues of
+    S^{1/2} S_j S^{1/2}.  Returns the unclamped distances and the scale of
+    the positivity check."""
+    root = center.cov.sqrt()
+    inner = root @ covs @ root
+    inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
+    w = np.linalg.eigvalsh(inner)
+    cross = 2.0 * np.sqrt(np.maximum(w, 0.0)).sum(axis=1)
+    gaps = ((means - center.mean) ** 2).sum(axis=1)
+    traces = np.trace(covs, axis1=1, axis2=2) + center.cov.trace()
+    return gaps + traces - cross, traces + gaps
 
 
 class TestDistance:
@@ -104,6 +119,31 @@ class TestDistance:
     def test_batched_distances_empty(self):
         gen = np.random.default_rng(26)
         assert w2_distances_sq(random_member(gen, 2), []).shape == (0,)
+
+
+class TestPositivityRescue:
+    def test_ill_conditioned_self_distances_are_rescued(self):
+        # From each member of a d = 16 ensemble with condition numbers up
+        # to 1e8, the eigenvalue pass loses positivity on the member's own
+        # row: the square roots of the tiny eigenvalues of S^2 amplify
+        # their round-off.  Those rows are recomputed from the Cholesky
+        # factors and come out at zero to 1e-14 of their scale; every
+        # other row keeps its bits.
+        ens = random_ensemble(np.random.default_rng(0), 20, 16,
+                              condition_cap=1e8)
+        means, covs = ens.means(), ens.covs()
+        rescued = 0
+        for i, center in enumerate(ens.members):
+            first, scale = eigvalsh_bures_sq(center, means, covs)
+            flagged = first < -1e-10 * scale
+            assert set(np.flatnonzero(flagged)) <= {i}
+            got = w2_distances_sq(center, ens.members)
+            np.testing.assert_array_equal(got[~flagged],
+                                          np.maximum(first[~flagged], 0.0))
+            if flagged[i]:
+                assert 0.0 <= got[i] <= 1e-14 * scale[i]
+                rescued += 1
+        assert rescued >= 3
 
 
 class TestOptimalMap:
