@@ -7,7 +7,14 @@ of a common family the squared 2-Wasserstein distance has the closed form
                  + tr(S_P) + tr(S_Q) - 2 tr((S_P^{1/2} S_Q S_P^{1/2})^{1/2})
 
 and the optimal transport map is affine with a positive definite linear
-part.
+part.  For 2 x 2 scatters the cross term needs no matrix root (Bhatia,
+Jain & Lim, arXiv:1712.01504):
+
+    tr((S_P^{1/2} S_Q S_P^{1/2})^{1/2})
+        = sqrt(tr(S_P S_Q) + 2 sqrt(det S_P det S_Q)),
+
+which is how planar distances are computed; other dimensions take the
+eigenvalues of S_P^{1/2} S_Q S_P^{1/2}.
 """
 
 from __future__ import annotations
@@ -82,11 +89,18 @@ def _bures_sq(center: LocScatter, means: np.ndarray,
     ``means (k, d)``, ``covs (k, d, d)``, with round-off clamped as in
     :func:`w2_distance_sq`."""
     check_same_dim(center.dim, means.shape[1], covs.shape[2])
-    root = center.cov.sqrt()
-    inner = root @ covs @ root
-    inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
-    w = np.linalg.eigvalsh(inner)
-    cross = 2.0 * np.sqrt(np.maximum(w, 0.0)).sum(axis=1)
+    if center.dim == 2:
+        s = center.cov.entries
+        a, b, c = covs[:, 0, 0], covs[:, 1, 0], covs[:, 1, 1]
+        dets = (s[0, 0] * s[1, 1] - s[1, 0] * s[1, 0]) * (a * c - b * b)
+        cross = 2.0 * np.sqrt(s[0, 0] * a + 2.0 * s[1, 0] * b + s[1, 1] * c
+                              + 2.0 * np.sqrt(np.maximum(dets, 0.0)))
+    else:
+        root = center.cov.sqrt()
+        inner = root @ covs @ root
+        inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
+        w = np.linalg.eigvalsh(inner)
+        cross = 2.0 * np.sqrt(np.maximum(w, 0.0)).sum(axis=1)
     gaps = ((means - center.mean) ** 2).sum(axis=1)
     traces = np.trace(covs, axis1=1, axis2=2) + center.cov.trace()
     out = gaps + traces - cross

@@ -60,10 +60,10 @@ def random_spd(dim: int, condition_cap: float, rng) -> SpdMatrix:
     is Haar-distributed orthogonal, so the spectrum is bounded by
     construction.
     """
-    if dim < 1:
-        raise InvalidInput("dimension must be at least 1")
-    if condition_cap < 1.0:
-        raise InvalidInput("condition cap must be at least 1")
+    check_count(dim, "dim", 1)
+    if not (math.isfinite(condition_cap) and condition_cap >= 1.0):
+        raise InvalidInput("condition cap must be finite and at least 1, "
+                           f"got {condition_cap!r}")
     gen = _generator(rng)
     half = 0.5 * np.log(condition_cap)
     eigs = np.exp(gen.uniform(-half, half, size=dim))
@@ -90,7 +90,14 @@ def _c_step_paths(clouds: np.ndarray, owner: np.ndarray, h: int,
     its support repeats, when it fails, or after ``max_steps`` refits.  A
     path fails when its start covariance is exactly singular (an LU zero
     pivot, on which a solve would raise) or when a refit has determinant
-    sign <= 0.  Returns ``(means, covs, supports, history, steps, failed)``;
+    sign <= 0.  At d = 2 a path whose covariance ``[[a, p], [q, c]]`` has
+    condition number below about 1e6 takes its Mahalanobis distances from
+    the inverse in closed form, ``(c x^2 - (p + q) x y + a y^2) / (a c -
+    p q)``; the other paths, and every path in other dimensions, solve.
+    The two routes differ by a few ulps times that condition number, so a
+    step whose h-th and (h+1)-th closed-form distances lie within 1e-8 of
+    each other is ranked by the solve: the supports are the solve's.
+    Returns ``(means, covs, supports, history, steps, failed)``;
     row ``i`` of ``history`` holds the log-determinants of the first
     ``steps[i]`` refits of path ``i``.
     """
@@ -111,10 +118,36 @@ def _c_step_paths(clouds: np.ndarray, owner: np.ndarray, h: int,
         own = owner[live]
         delta = clouds[own]
         delta -= mean[:, None, :]
-        md = np.einsum("bij,bji->bi", delta,
-                       np.linalg.solve(cov, np.swapaxes(delta, 1, 2)))
+        if cov.shape[-1] == 2:
+            a, p = cov[:, 0, 0], cov[:, 0, 1]
+            q, c = cov[:, 1, 0], cov[:, 1, 1]
+            det = a * c - p * q
+            use_solve = det <= 1e-6 * (a + c) ** 2
+            x, y = delta[..., 0], delta[..., 1]
+            md = (c[:, None] * x * x - (p + q)[:, None] * x * y
+                  + a[:, None] * y * y)
+            md /= np.where(use_solve, 1.0, det)[:, None]
+            order = np.argsort(md, axis=1, kind="stable")
+            if h < md.shape[1]:
+                # The routes may order distances within 1e-8 of each other
+                # apart, so the solve decides a near tie at the support's
+                # edge (the d + 1 points of a start subset all lie at
+                # distance d exactly).
+                edge = np.take_along_axis(md, order[:, h - 1:h + 1], axis=1)
+                use_solve |= edge[:, 1] - edge[:, 0] <= 1e-8 * edge[:, 1]
+            rows = np.flatnonzero(use_solve)
+            if rows.size:
+                solved = np.linalg.solve(cov[rows],
+                                         np.swapaxes(delta[rows], 1, 2))
+                order[rows] = np.argsort(
+                    np.einsum("bij,bji->bi", delta[rows], solved),
+                    axis=1, kind="stable")
+        else:
+            md = np.einsum("bij,bji->bi", delta,
+                           np.linalg.solve(cov, np.swapaxes(delta, 1, 2)))
+            order = np.argsort(md, axis=1, kind="stable")
         del delta
-        support = np.sort(np.argsort(md, axis=1, kind="stable")[:, :h], axis=1)
+        support = np.sort(order[:, :h], axis=1)
         mean, cov = _ml_fit(clouds[own[:, None], support])
         sign, logdet = np.linalg.slogdet(cov)
         ok = sign > 0
@@ -396,6 +429,7 @@ def hospital_experiment(cfg: HospitalConfig) -> HospitalReport:
 def gaussian_parameter_law(dim: int = 2, mean_scale: float = 0.3,
                            condition_cap: float = 4.0):
     """Law of a random member: Gaussian mean, bounded-condition scatter."""
+    check_count(dim, "dim", 1)
 
     def draw(gen: np.random.Generator) -> LocScatter:
         mean = mean_scale * gen.standard_normal(dim)
@@ -469,8 +503,7 @@ def ellipse_points(p: LocScatter, count: int) -> np.ndarray:
     """Points of the one-standard-deviation ellipse of a planar member."""
     if p.dim != 2:
         raise InvalidInput("ellipse tracing requires dimension 2")
-    if count < 1:
-        raise InvalidInput("count must be positive")
+    check_count(count, "count", 1)
     theta = 2.0 * np.pi * np.arange(count) / count
     circle = np.column_stack([np.cos(theta), np.sin(theta)])
     return p.mean + circle @ p.cov.sqrt()

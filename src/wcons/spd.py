@@ -161,9 +161,32 @@ def spd_exp(m: SymMatrix) -> SpdMatrix:
 def sqrt_psd_batch(mats: np.ndarray) -> np.ndarray:
     """Principal square roots of a stack of symmetric PSD matrices.
 
-    Shape ``(k, d, d)`` in, same shape out.  Tiny negative eigenvalues from
-    round-off are clamped to zero; genuinely negative spectra raise.
+    Shape ``(k, d, d)`` in, same shape out; only the lower triangle is read.
+    Tiny negative eigenvalues from round-off are clamped to zero; genuinely
+    negative spectra raise.  At d = 2 the roots are closed-form: with
+    ``s = sqrt(det M)`` and ``t = sqrt(tr M + 2 s)``, the root of a PSD
+    ``M`` is ``(M + s I) / t``.  A negative eigenvalue that passes the
+    round-off test moves that root by its size over ``t`` instead of being
+    clamped, and a matrix with ``t = 0`` maps to zero.
     """
+    if mats.shape[-1] == 2:
+        a, b, c = mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
+        half = 0.5 * (a + c)
+        rad = np.hypot(0.5 * (a - c), b)
+        low = half - rad
+        if np.any(low < -1e-10 * np.maximum(1.0, half + rad)):
+            raise NotPositiveDefinite(
+                "batch member is not positive semidefinite",
+                min_eigenvalue=float(low.min()),
+            )
+        s = np.sqrt(np.maximum(a * c - b * b, 0.0))
+        t = np.sqrt(np.maximum(a + c + 2.0 * s, 0.0))
+        t[t == 0.0] = np.inf
+        r = np.empty(mats.shape)
+        r[:, 0, 0] = (a + s) / t
+        r[:, 1, 1] = (c + s) / t
+        r[:, 0, 1] = r[:, 1, 0] = b / t
+        return r
     w, v = np.linalg.eigh(mats)
     tol = -1e-10 * np.maximum(1.0, w[:, -1])
     if np.any(w[:, 0] < tol):

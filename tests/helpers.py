@@ -1,8 +1,14 @@
 """Shared constructors and the acceptance-line registry for the test suite."""
 
 import numpy as np
+from hypothesis import settings
 
 from wcons import LocScatter, WeightedEnsemble, certify_spd, random_spd
+
+# Settings of the numerical envelope tests: a fixed example sequence, so a
+# failure reproduces, and no example database written to disk.
+ENVELOPE = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None)
 
 # Lines collected by the acceptance tests and echoed in the terminal
 # summary by conftest.py.
@@ -79,6 +85,15 @@ def commuting_ensemble(gen, k, dim, mean_scale=1.0, sigma_low=0.3,
         w = gen.uniform(0.5, 1.5, size=k)
         ens = WeightedEnsemble(w / w.sum(), members)
     return ens, q, sigmas
+
+
+def planar_psd(scale, condition, angle, low=None):
+    """2 x 2 symmetric matrix with eigenvalues ``scale`` and ``low``
+    (default ``scale / condition``), its top eigenvector at ``angle``."""
+    q = np.array([[np.cos(angle), -np.sin(angle)],
+                  [np.sin(angle), np.cos(angle)]])
+    m = (q * [scale, scale / condition if low is None else low]) @ q.T
+    return 0.5 * (m + m.T)
 
 
 def directional_sigmas(cov_entries, q):

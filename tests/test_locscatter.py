@@ -4,15 +4,20 @@ Oracles: the diagonal case reduces to per-axis 1D formulas, and the 1D
 optimal map is the affine quantile map sigma_q/sigma_p * (x - m_p) + m_q.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wcons import (AffineMap, DimensionMismatch, InvalidInput, LocScatter,
                    center_split, certify_spd, optimal_map,
                    similarity_pushforward, w2_distance_sq, w2_distances_sq)
 
-from helpers import (gauss, gauss_1d, random_ensemble, random_member,
-                     random_orthogonal)
+from wcons.locscatter import _bures_sq
+
+from helpers import (ENVELOPE, gauss, gauss_1d, planar_psd, random_ensemble,
+                     random_member, random_orthogonal)
 
 
 def eigvalsh_bures_sq(center, means, covs):
@@ -27,6 +32,20 @@ def eigvalsh_bures_sq(center, means, covs):
     gaps = ((means - center.mean) ** 2).sum(axis=1)
     traces = np.trace(covs, axis1=1, axis2=2) + center.cov.trace()
     return gaps + traces - cross, traces + gaps
+
+
+def nuclear_bures_sq(center, means, covs):
+    """One member at a time, the cross term as the nuclear norm of L^T L_j
+    (Cholesky factors of S and S_j): singular values need no square root,
+    so this route keeps its accuracy at any conditioning."""
+    factor_t = np.linalg.cholesky(center.cov.entries).T
+    out = []
+    for m, c in zip(means, covs):
+        sv = np.linalg.svd(factor_t @ np.linalg.cholesky(c),
+                           compute_uv=False)
+        out.append(((m - center.mean) ** 2).sum() + np.trace(c)
+                   + center.cov.trace() - 2.0 * sv.sum())
+    return np.maximum(out, 0.0)
 
 
 class TestDistance:
@@ -144,6 +163,54 @@ class TestPositivityRescue:
                 assert 0.0 <= got[i] <= 1e-14 * scale[i]
                 rescued += 1
         assert rescued >= 3
+
+
+class TestPlanarClosedForm:
+    """The planar cross term sqrt(tr(S S_j) + 2 sqrt(det S det S_j))
+    against general-d references, within 1e-12 of the kernel's scale
+    tr S + tr S_j + |m - m_j|^2."""
+
+    @staticmethod
+    def stack(e, c, seed, k=12):
+        # Member scales within a decade of 10^e, condition numbers
+        # log-uniform up to 10^c, member 0 the center itself.  The center
+        # keeps to condition numbers certification admits at its scale.
+        gen = np.random.default_rng(seed)
+        scale = 10.0 ** e
+        center_cap = min(10.0 ** c, 1e9 * scale / max(1.0, scale))
+        covs = np.array([planar_psd(scale * 10.0 ** gen.uniform(-1.0, 1.0),
+                                    10.0 ** gen.uniform(0.0, c),
+                                    gen.uniform(0.0, math.pi))
+                         for _ in range(k)])
+        covs[0] = planar_psd(scale, 10.0 ** gen.uniform(
+            0.0, math.log10(center_cap)), gen.uniform(0.0, math.pi))
+        means = math.sqrt(scale) * gen.standard_normal((k, 2))
+        center = LocScatter(means[0], certify_spd(covs[0]))
+        scales = (np.trace(covs, axis1=1, axis2=2) + center.cov.trace()
+                  + ((means - center.mean) ** 2).sum(axis=1))
+        return center, means, covs, scales
+
+    @ENVELOPE
+    @given(st.floats(-6.0, 6.0), st.floats(0.0, 8.0),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_nuclear_norm_reference(self, e, c, seed):
+        center, means, covs, scales = self.stack(e, c, seed)
+        got = _bures_sq(center, means, covs)
+        ref = nuclear_bures_sq(center, means, covs)
+        assert np.all(np.abs(got - ref) <= 1e-12 * scales)
+
+    @ENVELOPE
+    @given(st.floats(-6.0, 6.0), st.floats(0.0, 4.0),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_eigenvalue_reference(self, e, c, seed):
+        # The eigenvalue route takes square roots of the small eigenvalues
+        # of S^{1/2} S_j S^{1/2}, and by condition 1e6 its own round-off
+        # reaches 1e-11 of scale on the self row, so it serves as the
+        # reference only up to condition 1e4.
+        center, means, covs, scales = self.stack(e, c, seed)
+        got = _bures_sq(center, means, covs)
+        ref, _ = eigvalsh_bures_sq(center, means, covs)
+        assert np.all(np.abs(got - np.maximum(ref, 0.0)) <= 1e-12 * scales)
 
 
 class TestOptimalMap:

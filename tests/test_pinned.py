@@ -8,6 +8,14 @@ each float array pinned below moved by at most 4.4e-12 relative to its
 largest entry, every kept-weight vector, restart index and outer-iteration
 count stayed equal, and only the ill-conditioned fixed point's iteration
 count changed (76 to 27).  ``g_map`` is one plain step and did not move.
+
+The d = 2 digests (law trim, brute force, harness) were re-pinned once
+more when the planar Bures distance and scatter-step square roots became
+closed-form: against the general eigenvalue path of commit f160ccd, each
+float array moved by at most 1.0e-14 relative to its largest entry (each
+harness row column by at most 2.0e-14 relative to its own largest), and
+every kept-weight vector, restart index and outer-iteration count stayed
+equal.  The d = 8 ill-conditioned and ``g_map`` digests did not move.
 """
 
 import hashlib
@@ -92,9 +100,11 @@ def harness_digest():
 
 def test_trimmed_law_ensemble_is_pinned():
     # Plain iteration: edaa671b...a6fbc688; scatter moved 1.2e-13 relative.
+    # General-d kernels: fc245ed2...cf454195; scatter moved 2.1e-15 and
+    # restart variances 1.0e-14 relative.
     assert law_trim_digest() == (
-        "fc245ed288dbc1c8c7668f968c2a7695"
-        "24f959e8d84f8a8762f80018cf454195")
+        "a9a9c0ecd0d7228b838ca744b42c7ac3"
+        "1d2138a86f8fcb55b663dcb120d92409")
 
 
 def test_ill_conditioned_barycenters_are_pinned():
@@ -113,13 +123,16 @@ def test_g_map_is_pinned():
 
 def test_brute_force_toy_is_pinned():
     # Plain iteration: 2576c3c5...5df138; scatter moved 7.9e-13 relative.
+    # General-d kernels: adcaf316...24414a40; scatter moved 4.5e-16
+    # relative.
     assert brute_force_digest() == (
-        "adcaf316778c05a74afecfc001e1964f"
-        "944e598057d35f01b4b6ce0924414a40")
+        "6de2abfd9cc057a409aee37ba7772798"
+        "182fa7b3f44b39aef896a935d993dfaf")
 
 
 def test_consistency_harness_is_pinned():
     # Plain iteration: 9c167705...12099a79; rows moved 1.5e-13 relative.
+    # General-d kernels: 5584fb62...b1699381; rows moved 2.0e-14 relative.
     assert harness_digest() == (
-        "5584fb6280cecdc68c68ef61e47dd9e6"
-        "99a48f4a68dcdc1ac6228f17b1699381")
+        "d39b18e845747db0c9defb3f371e6305"
+        "2513398507759d20ccdf8266733f7c92")

@@ -142,6 +142,17 @@ class TestRandomSpd:
         with pytest.raises(InvalidInput):
             random_spd(2, 0.5, gen)
 
+    def test_rejects_non_integer_dimension(self):
+        # Used to reach numpy's size argument and raise TypeError.
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            random_spd(2.0, 4.0, RngState(3).generator())
+
+    @pytest.mark.parametrize("cap", [math.inf, math.nan])
+    def test_rejects_non_finite_cap(self, cap):
+        # Used to raise OverflowError from the uniform draw.
+        with pytest.raises(InvalidInput, match="finite"):
+            random_spd(2, cap, RngState(3).generator())
+
     def test_accepts_rng_state(self):
         a = random_spd(2, 4.0, RngState(11))
         b = random_spd(2, 4.0, RngState(11))
@@ -314,6 +325,76 @@ class TestCStepKernel:
                     np.testing.assert_array_equal(a, b)
         assert not failed[[0, 1, 3]].any()
 
+    def test_closed_form_distances_pick_the_solve_supports(self):
+        # Three-point starts on clouds whose first 12 points lie on a
+        # line: random triples, and triples from the line, whose
+        # covariances are singular up to round-off.  Those that are not
+        # exactly singular stay live with condition numbers past 1e6 and
+        # take the solve route; every path must match the one-path solve
+        # loop bit for bit.
+        solved = 0
+        for seed in range(20):
+            gen = RngState(seed).generator()
+            cloud = gen.standard_normal((60, 2))
+            t = gen.uniform(-2.0, 2.0, 12)
+            cloud[:12] = np.column_stack([t, 0.5 * t + 0.1])
+            subsets = np.array(
+                [gen.choice(60, 3, replace=False) for _ in range(12)]
+                + [gen.choice(12, 3, replace=False) for _ in range(6)])
+            starts = cloud[subsets]
+            means = starts.mean(axis=1)
+            centered = starts - means[:, None, :]
+            covs = np.swapaxes(centered, 1, 2) @ centered / 3.0
+            out_means, out_covs, supports, history, steps, failed = (
+                _c_step_paths(cloud[None], np.zeros(len(subsets), np.intp),
+                              40, means, covs))
+            tr = np.trace(covs, axis1=1, axis2=2)
+            solved += np.sum(~failed & (np.linalg.det(covs) <= 1e-6 * tr ** 2))
+            for i in range(len(subsets)):
+                try:
+                    ref = reference_c_step_path(cloud, 40, means[i], covs[i])
+                except SingularSubset:
+                    assert failed[i]
+                    continue
+                assert not failed[i]
+                got = (out_means[i], out_covs[i], supports[i],
+                       history[i, :steps[i]].tolist())
+                for a, b in zip(got, ref):
+                    np.testing.assert_array_equal(a, b)
+        assert solved >= 10
+
+    def test_start_subset_tie_at_the_support_edge(self):
+        # Under their own fit the three points of a start subset lie at
+        # Mahalanobis distance 2 exactly.  With 18 points inside that
+        # ellipse and 19 far outside, the edge of a 20-point support falls
+        # among the three, where round-off picks two of them: the picks
+        # must be the solve's.
+        for seed in range(40):
+            gen = RngState(seed).generator()
+            start = gen.standard_normal((3, 2))
+            mean0 = start.mean(axis=0)
+            cov0 = (start - mean0).T @ (start - mean0) / 3.0
+            factor = np.linalg.cholesky(cov0)
+            z = gen.standard_normal((37, 2))
+            z *= np.where(np.arange(37) < 18, 0.9, 3.0)[:, None] / np.sqrt(
+                (z * z).sum(axis=1, keepdims=True))
+            pts = np.vstack([start, mean0 + z @ factor.T])
+            pts = pts[gen.permutation(40)]
+            got = c_step_path(pts, 20, mean0, cov0)
+            ref = reference_c_step_path(pts, 20, mean0, cov0)
+            for a, b in zip(got, ref):
+                np.testing.assert_array_equal(a, b)
+
+    def test_non_symmetric_start_matches_the_solve(self):
+        # The closed form inverts [[a, p], [q, c]] as a general matrix, as
+        # the solve does, so a lopsided start picks the solve's support.
+        pts = RngState(5).generator().standard_normal((40, 2))
+        cov = np.array([[1.0, 0.9], [-0.6, 0.5]])
+        got = c_step_path(pts, 30, np.zeros(2), cov)
+        ref = reference_c_step_path(pts, 30, np.zeros(2), cov)
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
+
     def test_max_steps_caps_every_path(self):
         gen = RngState(8).generator()
         clouds = gen.standard_normal((3, 30, 2))
@@ -443,30 +524,54 @@ class TestHospitalExperiment:
         assert a.w2_sq_linear == b.w2_sq_linear
         assert a.unit_outlier_counts == b.unit_outlier_counts
 
+    @staticmethod
+    def unit_cloud(cfg, i):
+        """The per-unit recipe a replay of the study relies on: split
+        stream i, contamination, mixture cloud.  Returns the points, the
+        outlier count and the stream, ready for the MCD draws."""
+        gen = RngState(cfg.seed).split(i).generator()
+        p = gen.beta(*cfg.contamination_beta)
+        mask = gen.random(cfg.n) < p
+        clean = (cfg.inlier.mean + gen.standard_normal((cfg.n, 2))
+                 @ cfg.inlier.cov.sqrt())
+        bad = (cfg.outlier.mean + gen.standard_normal((cfg.n, 2))
+               @ cfg.outlier.cov.sqrt())
+        return np.where(mask[:, None], bad, clean), int(mask.sum()), gen
+
     def test_units_equal_per_unit_estimate_then_rescale(self):
-        # The per-unit recipe a replay of the study relies on: split
-        # stream i, contamination, mixture cloud, estimate_mcd from the
-        # same stream, then the consistency rescaling.
+        # Recipe, then estimate_mcd from the same stream, then the
+        # consistency rescaling.
         cfg = HospitalConfig(k=15, n=50, seed=4, mcd_restarts=3,
                              trim_restarts=3)
         estimates, counts = _hospital_units(cfg)
         h = round(cfg.mcd_fraction * cfg.n)
         factor = mcd_consistency_factor(cfg.mcd_fraction, 2)
         for i in range(cfg.k):
-            gen = RngState(cfg.seed).split(i).generator()
-            p = gen.beta(*cfg.contamination_beta)
-            mask = gen.random(cfg.n) < p
-            clean = (cfg.inlier.mean + gen.standard_normal((cfg.n, 2))
-                     @ cfg.inlier.cov.sqrt())
-            bad = (cfg.outlier.mean + gen.standard_normal((cfg.n, 2))
-                   @ cfg.outlier.cov.sqrt())
-            points = np.where(mask[:, None], bad, clean)
+            points, count, gen = self.unit_cloud(cfg, i)
             est = estimate_mcd(points, h, cfg.mcd_restarts, gen)
             cov = certify_spd((1.0 / factor) * est.cov.entries)
-            assert counts[i] == int(mask.sum())
+            assert counts[i] == count
             np.testing.assert_array_equal(estimates[i].mean, est.mean)
             np.testing.assert_array_equal(estimates[i].cov.entries,
                                           cov.entries)
+
+    def test_pinned_units_equal_the_solve_reference(self):
+        # The units of the pinned report below, fitted by the one-path
+        # loop that solves for every Mahalanobis distance: the closed-form
+        # planar distances leave every unit, and so the report, unchanged.
+        cfg = HospitalConfig(k=12, n=40, seed=1, mcd_restarts=3,
+                             trim_restarts=3)
+        estimates, _ = _hospital_units(cfg)
+        h = round(cfg.mcd_fraction * cfg.n)
+        factor = mcd_consistency_factor(cfg.mcd_fraction, 2)
+        for i in range(cfg.k):
+            points, _, gen = self.unit_cloud(cfg, i)
+            mean, cov, _ = reference_estimate_mcd(points, h,
+                                                  cfg.mcd_restarts, gen)
+            np.testing.assert_array_equal(estimates[i].mean, mean)
+            np.testing.assert_array_equal(
+                estimates[i].cov.entries,
+                certify_spd((1.0 / factor) * cov).entries)
 
     def test_report_bytes_are_pinned(self):
         # The batched unit stage reproduced bit for bit the report of commit
@@ -481,7 +586,13 @@ class TestHospitalExperiment:
         # iteration became Anderson-accelerated (plain iteration:
         # 41e9e812...3782e83c); the three distances moved by at most
         # 6.9e-13 and the scatters by 3.7e-13 relative, and the kept
-        # weights and outlier counts stayed equal.
+        # weights and outlier counts stayed equal.  It was re-pinned again
+        # when the planar Bures distance and scatter-step roots became
+        # closed-form (general-d kernels: fa1c12c2...746d1ac0): the
+        # trimmed distance moved by 7.7e-14 and the scatters by 8.7e-16
+        # relative, and the kept weights and outlier counts stayed equal.
+        # The closed-form Mahalanobis distances alone reproduce
+        # fa1c12c2...746d1ac0 bit for bit.
         cfg = HospitalConfig(k=12, n=40, seed=1, mcd_restarts=3,
                              trim_restarts=3)
         rep = hospital_experiment(cfg)
@@ -495,8 +606,8 @@ class TestHospitalExperiment:
         for a in parts:
             digest.update(np.ascontiguousarray(
                 a, dtype=a.dtype.newbyteorder("<")).tobytes())
-        assert digest.hexdigest() == ("fa1c12c2a5eed616d44c2181876fb460"
-                                      "8f2315b688299059ef14d2c4746d1ac0")
+        assert digest.hexdigest() == ("4962ebd73921db7d8151d5ddfc5681c1"
+                                      "5f3e2a21f8bc84fb9f52f73f9cbef0e1")
 
     def test_different_seeds_differ(self):
         base = dict(k=10, n=40, mcd_restarts=2, trim_restarts=3)
@@ -560,6 +671,12 @@ class TestConsistencyHarness:
             w = np.linalg.eigvalsh(member.cov.entries)
             assert w[-1] / w[0] <= 9.0 * (1.0 + 1e-9)
 
+    @pytest.mark.parametrize("dim", [0, 2.0])
+    def test_parameter_law_checks_dimension_when_built(self, dim):
+        # Used to build and fail only at the first draw, if at all.
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            gaussian_parameter_law(dim=dim)
+
 
 class TestEllipsePoints:
     def test_points_lie_on_unit_quadric(self):
@@ -579,6 +696,12 @@ class TestEllipsePoints:
         q = LocScatter(np.zeros(3), certify_spd(np.eye(3)))
         with pytest.raises(InvalidInput):
             ellipse_points(q, 16)
+
+    def test_rejects_non_integer_count(self):
+        # Used to return 3 points on an open angle grid of step 2pi/2.5.
+        p = LocScatter(np.zeros(2), certify_spd(np.eye(2)))
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            ellipse_points(p, 2.5)
 
 
 class TestPackagedToyEnsemble:

@@ -5,15 +5,23 @@ diagonal matrices, and hand-expanded square roots.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wcons import (InvalidInput, NotPositiveDefinite, SymMatrix, certify_spd,
                    spd_exp, spd_log, spd_power, sym_eigen)
 from wcons.spd import pd_floor, sqrt_psd_batch
 
-from helpers import random_orthogonal
+from helpers import ENVELOPE, planar_psd, random_orthogonal
+
+# Envelope of the planar square roots: scales 1e-6 to 1e6, condition
+# numbers up to 1e8, any orientation.
+SCALE_EXP = st.floats(-6.0, 6.0)
+COND_EXP = st.floats(0.0, 8.0)
+ANGLE = st.floats(0.0, math.pi)
 
 
 def _random_sym(gen, dim, scale=1.0):
@@ -254,3 +262,72 @@ class TestSqrtPsdBatch:
         stack = a @ np.swapaxes(a, -1, -2)
         roots = sqrt_psd_batch(stack)
         np.testing.assert_array_equal(roots, np.swapaxes(roots, -1, -2))
+
+
+def eigh_sqrt_batch(mats):
+    """The general-d route, one matrix at a time: eigenvalues of the lower
+    triangle clamped at zero, then V diag(sqrt w) V^T."""
+    roots = []
+    for m in mats:
+        w, v = np.linalg.eigh(m)
+        r = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+        roots.append(0.5 * (r + r.T))
+    return np.array(roots)
+
+
+class TestPlanarSqrtPsdBatch:
+    """The closed form (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M))
+    against the eigenvalue route, within 1e-12 of sqrt(largest eig)."""
+
+    @ENVELOPE
+    @given(st.lists(st.tuples(SCALE_EXP, COND_EXP, ANGLE), min_size=1,
+                    max_size=8))
+    def test_matches_eigh_reference(self, specs):
+        stack = np.array([planar_psd(10.0 ** e, 10.0 ** c, t)
+                          for e, c, t in specs])
+        got = sqrt_psd_batch(stack)
+        ref = eigh_sqrt_batch(stack)
+        scale = np.sqrt([10.0 ** e for e, _, _ in specs])
+        gap = np.abs(got - ref).max(axis=(1, 2))
+        assert np.all(gap <= 1e-12 * scale)
+        np.testing.assert_array_equal(got, np.swapaxes(got, 1, 2))
+
+    @ENVELOPE
+    @given(SCALE_EXP, st.floats(-14.0, -13.0), ANGLE)
+    def test_rank_one_with_tiny_negative_eigenvalue(self, e, rel, angle):
+        # The negative eigenvalue is 1e-14 to 1e-13 of the top one: far
+        # above round-off, so both routes see it, and far inside the
+        # 1e-10 acceptance floor.
+        scale = 10.0 ** e
+        m = planar_psd(scale, 1.0, angle, low=-(10.0 ** rel) * scale)
+        got = sqrt_psd_batch(m[None])[0]
+        ref = eigh_sqrt_batch(m[None])[0]
+        assert np.abs(got - ref).max() <= 1e-12 * math.sqrt(scale)
+
+    @ENVELOPE
+    @given(SCALE_EXP, ANGLE)
+    def test_clearly_negative_raises(self, e, angle):
+        scale = 10.0 ** e
+        low = -1e-8 * max(1.0, scale)
+        m = planar_psd(scale, 1.0, angle, low=low)
+        with pytest.raises(NotPositiveDefinite) as err:
+            sqrt_psd_batch(np.stack([np.eye(2), m]))
+        assert err.value.min_eigenvalue == pytest.approx(low, rel=1e-6)
+
+    def test_reads_the_lower_triangle(self):
+        m = np.array([[4.0, 100.0], [1.0, 3.0]])
+        got = sqrt_psd_batch(m[None])
+        np.testing.assert_allclose(got, eigh_sqrt_batch(m[None]),
+                                   rtol=0.0, atol=1e-15)
+        assert got[0, 0, 1] == got[0, 1, 0]
+
+    def test_zero_matrix_maps_to_zero_without_warning(self):
+        stack = np.stack([np.zeros((2, 2)), np.diag([4.0, 9.0])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sqrt_psd_batch(stack)
+        np.testing.assert_array_equal(got[0], np.zeros((2, 2)))
+        np.testing.assert_array_equal(got[1], np.diag([2.0, 3.0]))
+
+    def test_empty_stack(self):
+        assert sqrt_psd_batch(np.zeros((0, 2, 2))).shape == (0, 2, 2)
