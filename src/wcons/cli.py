@@ -82,6 +82,9 @@ def _ints(text, what):
         raise _UsageError(f"{what} must be comma-separated integers: {text!r}")
 
 
+_MAX_ALPHAS = 10_000
+
+
 def _alpha_range(text):
     parts = text.split(":")
     if len(parts) != 3:
@@ -90,16 +93,19 @@ def _alpha_range(text):
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise _UsageError(f"--alphas expects numbers, got {text!r}")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise _UsageError(f"--alphas expects finite numbers, got {text!r}")
     if step <= 0.0:
         raise _UsageError("--alphas step must be positive")
     values = []
-    i = 0
     while True:
-        a = start + i * step
+        a = start + len(values) * step
         if a > stop + 1e-12:
             break
+        if len(values) == _MAX_ALPHAS:
+            raise _UsageError(
+                f"--alphas range has more than {_MAX_ALPHAS} points")
         values.append(min(a, stop))
-        i += 1
     if not values:
         raise _UsageError("--alphas range is empty")
     return values

@@ -53,12 +53,28 @@ def _generator(rng) -> np.random.Generator:
     raise InvalidInput(f"expected RngState or numpy Generator, got {type(rng)}")
 
 
+def _planar_haar(x: np.ndarray):
+    """Q of the QR factorization of a 2 x 2 ``x`` with ``diag(R) >= 0``.
+
+    With ``x = [[a, b], [c, d]]`` and ``h = hypot(a, c)``, the columns are
+    ``(a, c) / h`` and ``sign(ad - bc) (-c, a) / h``, the sign taken as +1
+    at 0.  Returns None when the first column is zero.
+    """
+    (a, b), (c, d) = x.tolist()
+    h = math.hypot(a, c)
+    if h == 0.0:
+        return None
+    s = -1.0 if a * d - b * c < 0.0 else 1.0
+    return np.array([[a / h, -s * c / h], [c / h, s * a / h]])
+
+
 def random_spd(dim: int, condition_cap: float, rng) -> SpdMatrix:
     """Random positive definite matrix with condition number <= cap.
 
     Eigenvalues are log-uniform on [cap^-1/2, cap^1/2] and the eigenbasis
     is Haar-distributed orthogonal, so the spectrum is bounded by
-    construction.
+    construction.  The eigenbasis is the Q factor, with ``diag(R) >= 0``,
+    of a standard normal draw; at d = 2 it is built in closed form.
     """
     check_count(dim, "dim", 1)
     if not (math.isfinite(condition_cap) and condition_cap >= 1.0):
@@ -67,10 +83,12 @@ def random_spd(dim: int, condition_cap: float, rng) -> SpdMatrix:
     gen = _generator(rng)
     half = 0.5 * np.log(condition_cap)
     eigs = np.exp(gen.uniform(-half, half, size=dim))
-    q, r = np.linalg.qr(gen.standard_normal((dim, dim)))
-    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-    m = (q * eigs) @ q.T
-    return certify_spd(0.5 * (m + m.T))
+    x = gen.standard_normal((dim, dim))
+    q = _planar_haar(x) if dim == 2 else None
+    if q is None:
+        q, r = np.linalg.qr(x)
+        q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+    return certify_spd((q * eigs) @ q.T)
 
 
 def _ml_fit(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

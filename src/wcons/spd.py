@@ -5,10 +5,22 @@ eigendecomposition path so that every derived matrix is exactly symmetric
 by construction.  Positive definiteness is certified once, at construction
 of :class:`SpdMatrix`, and the certified eigendecomposition is reused by
 every downstream operation.
+
+At d = 2 the eigendecomposition takes no LAPACK call: it is the step that
+LAPACK's ``dsyevd`` itself takes on a 2 x 2 matrix ``[[a, b], [b, c]]``
+(the ``dsteqr`` test for a negligible off-diagonal, then the ``dlaev2``
+rotation), carried out on Python floats.  The root of larger magnitude is
+``rt1 = (a + c +- rt) / 2`` with ``rt = hypot(a - c, 2 b)``, the other is
+``(acmx / rt1) acmn - (b / rt1) b`` with ``acmx`` and ``acmn`` the
+diagonal entries of larger and smaller magnitude, and the rotation
+``(cs, sn)`` gives the eigenvector columns.  Matrices whose largest entry
+lies outside [1e-120, 1e140], where ``dsyevd`` rescales first, still call
+``eigh``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +45,13 @@ def _as_square(entries) -> np.ndarray:
     return a
 
 
+# LAPACK's dlamch('E') and dlamch('S'): the split test of dsteqr.
+_EPS = 2.0 ** -53
+_SAFMIN = 2.0 ** -1022
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = a.copy()
+    """Mark a fresh array read-only and return it."""
     a.setflags(write=False)
     return a
 
@@ -52,7 +69,9 @@ class SymMatrix:
 
     def __post_init__(self):
         a = _as_square(self.entries)
-        object.__setattr__(self, "entries", _frozen(0.5 * (a + a.T)))
+        s = np.add(a, a.T, order="C")
+        s *= 0.5
+        object.__setattr__(self, "entries", _frozen(s))
 
     @property
     def dim(self) -> int:
@@ -94,9 +113,61 @@ class SpdMatrix:
         return float(np.trace(self.entries))
 
 
-def pd_floor(eigenvalues: np.ndarray) -> float:
+def pd_floor(eigenvalues) -> float:
     """Positivity floor used by certification: 1e-10 * max(1, largest eig)."""
-    return 1e-10 * max(1.0, float(np.max(eigenvalues, initial=0.0)))
+    return 1e-10 * float(max(1.0, max(eigenvalues, default=0.0)))
+
+
+def _planar_eigen(a: float, b: float, c: float):
+    """Eigenpairs of ``[[a, b], [b, c]]`` by ``dsteqr``'s 2 x 2 step.
+
+    The negligible off-diagonal test of ``dsteqr`` and the ``dlaev2``
+    formulas, in the same operation order, so the result is what ``eigh``
+    returns; ``rt1`` is the root of larger magnitude and ``(cs, sn)`` its
+    unit eigenvector.  Returns ``(values, vectors)`` ordered as
+    :func:`sym_eigen` orders them.
+    """
+    if (b == 0.0 or abs(b) <= math.sqrt(abs(a)) * math.sqrt(abs(c)) * _EPS
+            or b * b <= _EPS * _EPS * abs(a) * abs(c) + _SAFMIN):
+        if a >= c:
+            return np.array([a, c]), np.eye(2)
+        return np.array([c, a]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    sm = a + c
+    df = a - c
+    adf = abs(df)
+    tb = b + b
+    ab = abs(tb)
+    acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
+    if adf > ab:
+        t = ab / adf
+        rt = adf * math.sqrt(1.0 + t * t)
+    elif adf < ab:
+        t = adf / ab
+        rt = ab * math.sqrt(1.0 + t * t)
+    else:
+        rt = ab * math.sqrt(2.0)
+    if sm < 0.0:
+        rt1 = 0.5 * (sm - rt)
+        rt2 = (acmx / rt1) * acmn - (b / rt1) * b
+    elif sm > 0.0:
+        rt1 = 0.5 * (sm + rt)
+        rt2 = (acmx / rt1) * acmn - (b / rt1) * b
+    else:
+        rt1, rt2 = 0.5 * rt, -0.5 * rt
+    cs = df + rt if df >= 0.0 else df - rt
+    if abs(cs) > ab:
+        t = -tb / cs
+        sn = 1.0 / math.sqrt(1.0 + t * t)
+        cs1 = t * sn
+    else:
+        t = -cs / tb
+        cs1 = 1.0 / math.sqrt(1.0 + t * t)
+        sn = t * cs1
+    if (sm < 0.0) == (df < 0.0):
+        cs1, sn = -sn, cs1
+    if rt1 >= rt2:
+        return np.array([rt1, rt2]), np.array([[cs1, -sn], [sn, cs1]])
+    return np.array([rt2, rt1]), np.array([[-sn, cs1], [cs1, sn]])
 
 
 def sym_eigen(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -105,12 +176,19 @@ def sym_eigen(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(values, vectors)`` with eigenvalues sorted in descending
     order (ties keep the solver's original order, which makes the result
     deterministic) and eigenvectors as columns, ``vectors[:, i]`` belonging
-    to ``values[i]``.
+    to ``values[i]``.  Both arrays are fresh.
     """
     a = m.entries
-    if not np.all(np.isfinite(a)):
+    if a.shape[0] == 2:
+        a00, _, b, c = a.ravel().tolist()
+        if (math.isfinite(a00 + b + c)
+                and 1e-120 <= max(abs(a00), abs(b), abs(c)) <= 1e140):
+            return _planar_eigen(a00, b, c)
+    if not np.isfinite(a).all():
         raise InvalidInput("matrix has non-finite entries")
     w, v = np.linalg.eigh(a)
+    if (w[1:] > w[:-1]).all():
+        return w[::-1].copy(), v[:, ::-1].copy()
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order]
 
@@ -130,8 +208,9 @@ def certify_spd(m: SymMatrix | np.ndarray) -> SpdMatrix:
     if not isinstance(m, SymMatrix):
         m = SymMatrix(m)
     w, v = sym_eigen(m)
-    smallest = float(w[-1])
-    if smallest <= pd_floor(w):
+    values = w.tolist()
+    smallest = values[-1]
+    if smallest <= pd_floor(values):
         raise NotPositiveDefinite(
             f"smallest eigenvalue {smallest:.6g} is not safely positive",
             min_eigenvalue=smallest,

@@ -74,8 +74,8 @@ def _check_weights(weights, count: int) -> np.ndarray:
         raise BadWeights(f"expected {count} weights, got shape {lam.shape}")
     if count == 0:
         raise BadWeights("empty ensemble")
-    if np.any(lam <= 0.0):
-        raise BadWeights("weights must be strictly positive")
+    if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
+        raise BadWeights("weights must be finite and strictly positive")
     if abs(lam.sum() - 1.0) > 1e-9:
         raise BadWeights(f"weights sum to {float(lam.sum())!r}, expected 1")
     return lam

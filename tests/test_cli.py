@@ -210,6 +210,28 @@ class TestVarianceCurve:
         assert code == 1
         assert "START:STOP:STEP" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alphas", ["0:0.5:nan", "nan:0.5:0.1",
+                                        "0:nan:0.1", "0:inf:0.1",
+                                        "-inf:0.5:0.1", "0:0.5:inf"])
+    def test_non_finite_range_is_exit_1(self, far_outlier_path, tmp_path,
+                                        capsys, alphas):
+        # A NaN field used to loop forever, its list growing unbounded.
+        code = run_command(["variance-curve", far_outlier_path,
+                            f"--alphas={alphas}",
+                            "--out", str(tmp_path / "curve.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "finite" in err
+
+    def test_too_many_points_is_exit_1(self, far_outlier_path, tmp_path,
+                                       capsys):
+        code = run_command(["variance-curve", far_outlier_path,
+                            "--alphas", "0:1:1e-4",
+                            "--out", str(tmp_path / "curve.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "10000 points" in err
+
 
 class TestCompare:
     def test_commuting_pair(self, tmp_path, capsys):
@@ -292,6 +314,17 @@ class TestBary1d:
         code = run_command(["bary1d", g1, g2, "--weights", "0.5,0.6"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights", ["nan,nan", "inf,0.5"])
+    def test_non_finite_weights_are_a_weight_error(self, tmp_path, capsys,
+                                                   weights):
+        # NaN weights used to reach the grid check and be reported as
+        # non-finite quantile values.
+        g1, g2 = self.write_gaussian_grids(tmp_path)
+        code = run_command(["bary1d", g1, g2, "--weights", weights])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "weights must be finite" in err
 
 
 class TestSimulate:

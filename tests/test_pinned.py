@@ -16,6 +16,17 @@ float array moved by at most 1.0e-14 relative to its largest entry (each
 harness row column by at most 2.0e-14 relative to its own largest), and
 every kept-weight vector, restart index and outer-iteration count stayed
 equal.  The d = 8 ill-conditioned and ``g_map`` digests did not move.
+
+The law trim and harness digests were re-pinned a third time when
+``random_spd`` began building its planar Haar factor in closed form
+instead of by ``np.linalg.qr``: against commit fb91617 the member scatters
+moved by at most 4.5e-16 and each float array pinned below by at most
+3.1e-15 relative to its largest entry (each harness row entry by at most
+7.8e-15 relative to itself); every kept-weight vector, restart index and
+outer-iteration count stayed equal.  The brute-force toy, d = 8
+ill-conditioned and ``g_map`` digests did not move, and the
+general-dimension digest, d = 3 and d = 8 draws and eigenpairs, was
+computed at that commit.
 """
 
 import hashlib
@@ -23,10 +34,11 @@ import hashlib
 import numpy as np
 
 from helpers import random_ensemble
-from wcons import (RngState, TrimConfig, WeightedEnsemble,
+from wcons import (RngState, SymMatrix, TrimConfig, WeightedEnsemble,
                    brute_force_trimmed, consistency_harness,
                    ellipse_toy_ensemble, fixed_point_barycenter, g_map,
-                   gaussian_parameter_law, trimmed_barycenter)
+                   gaussian_parameter_law, random_spd, sym_eigen,
+                   trimmed_barycenter)
 
 
 def sha256(parts):
@@ -98,13 +110,30 @@ def harness_digest():
     return sha256(parts)
 
 
+def general_dimension_digest():
+    # Draws, certified eigenpairs and the eigenpairs of indefinite and
+    # tied matrices off the planar path.
+    gen = RngState(13).generator()
+    parts = []
+    for dim in (3, 8):
+        for _ in range(10):
+            spd = random_spd(dim, 1e6, gen)
+            x = gen.standard_normal((dim, dim))
+            parts += [spd.entries, spd.eigenvalues, spd.eigenvectors,
+                      *sym_eigen(SymMatrix(x)),
+                      *sym_eigen(SymMatrix(np.diag(np.round(x[0]))))]
+    return sha256(parts)
+
+
 def test_trimmed_law_ensemble_is_pinned():
     # Plain iteration: edaa671b...a6fbc688; scatter moved 1.2e-13 relative.
     # General-d kernels: fc245ed2...cf454195; scatter moved 2.1e-15 and
     # restart variances 1.0e-14 relative.
+    # QR Haar factor: a9a9c0ec...20d92409; scatter moved 4.3e-16 and
+    # restart variances 2.6e-15 relative.
     assert law_trim_digest() == (
-        "a9a9c0ecd0d7228b838ca744b42c7ac3"
-        "1d2138a86f8fcb55b663dcb120d92409")
+        "72100eb07c1adb2755fb55f3512a2808"
+        "fc86893f078c7db2a47b168b3d004668")
 
 
 def test_ill_conditioned_barycenters_are_pinned():
@@ -133,6 +162,16 @@ def test_brute_force_toy_is_pinned():
 def test_consistency_harness_is_pinned():
     # Plain iteration: 9c167705...12099a79; rows moved 1.5e-13 relative.
     # General-d kernels: 5584fb62...b1699381; rows moved 2.0e-14 relative.
+    # QR Haar factor: d39b18e8...733f7c92; rows moved 3.1e-15
+    # relative (7.8e-15 entry by entry).
     assert harness_digest() == (
-        "d39b18e845747db0c9defb3f371e6305"
-        "2513398507759d20ccdf8266733f7c92")
+        "6bd82db72913c2cb0676e5d0fec72b22"
+        "47dc47753fa0150f4bd218e00f69b8f4")
+
+
+def test_general_dimension_draws_are_pinned():
+    # Computed at commit fb91617: the planar closed forms leave every
+    # other dimension's bits as they were.
+    assert general_dimension_digest() == (
+        "bfd480c70a38067cdccb3298eae3d385"
+        "9479dc03262035618385dff37cf5b527")

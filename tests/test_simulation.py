@@ -11,19 +11,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from wcons import (InvalidInput, LocScatter, RngState, SingularSubset,
                    brute_force_trimmed, certify_spd, fixed_point_barycenter,
                    w2_distance_sq)
 from wcons.rng import splitmix64
 from wcons.simulation import (HospitalConfig, _c_step_paths,
-                              _hospital_units, c_step_path,
+                              _hospital_units, _planar_haar, c_step_path,
                               consistency_harness, ellipse_points,
                               ellipse_toy_ensemble, estimate_mcd,
                               gaussian_parameter_law, hospital_experiment,
                               mcd_consistency_factor, random_spd)
 from wcons.trimming import TrimConfig, trimmed_barycenter
 from wcons.univariate import gaussian_quantiles
+
+from helpers import ENVELOPE
 
 
 def reference_c_step_path(points, h, mean, cov, max_steps=100):
@@ -161,6 +164,59 @@ class TestRandomSpd:
     def test_rejects_plain_seed(self):
         with pytest.raises(InvalidInput):
             random_spd(2, 4.0, 123)
+
+
+def qr_haar(x):
+    """Q of np.linalg.qr with the sign fix diag(R) >= 0."""
+    q, r = np.linalg.qr(x)
+    return q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+
+
+class TestPlanarHaar:
+    """The closed-form 2 x 2 Haar factor of ``random_spd``."""
+
+    @ENVELOPE
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(-6.0, 6.0))
+    def test_orthogonal_with_nonnegative_r_diagonal(self, seed, e):
+        x = 10.0 ** e * np.random.default_rng(seed).standard_normal((2, 2))
+        q = _planar_haar(x)
+        np.testing.assert_allclose(q.T @ q, np.eye(2), rtol=0.0, atol=1e-15)
+        r = q.T @ x
+        norm = np.abs(x).max()
+        assert abs(r[1, 0]) <= 1e-15 * norm
+        assert r[0, 0] > 0.0 and r[1, 1] >= -1e-15 * norm
+
+    @ENVELOPE
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(-6.0, 6.0))
+    def test_matches_qr_with_sign_fix(self, seed, e):
+        x = 10.0 ** e * np.random.default_rng(seed).standard_normal((2, 2))
+        # The sign of R's second diagonal entry is that of det x; keep
+        # it clear of round-off so both routes agree on it.
+        assume(abs(np.linalg.det(x)) > 1e-8 * np.abs(x).max() ** 2)
+        np.testing.assert_allclose(_planar_haar(x), qr_haar(x), rtol=0.0,
+                                   atol=1e-15)
+
+    def test_zero_determinant_takes_positive_sign(self):
+        x = np.array([[3.0, 6.0], [4.0, 8.0]])
+        np.testing.assert_array_equal(
+            _planar_haar(x), np.array([[0.6, -0.8], [0.8, 0.6]]))
+
+    def test_zero_first_column_falls_back(self):
+        assert _planar_haar(np.array([[0.0, 1.0], [0.0, 2.0]])) is None
+
+    def test_draw_matches_the_qr_construction(self):
+        # The random stream is as before: the same uniform and normal
+        # draws, with only the factorization replaced.
+        for seed in range(20):
+            gen, ref_gen = (np.random.default_rng(seed) for _ in range(2))
+            got = random_spd(2, 1e4, gen)
+            half = 0.5 * np.log(1e4)
+            eigs = np.exp(ref_gen.uniform(-half, half, size=2))
+            q = qr_haar(ref_gen.standard_normal((2, 2)))
+            ref = (q * eigs) @ q.T
+            np.testing.assert_allclose(got.entries, 0.5 * (ref + ref.T),
+                                       rtol=0.0, atol=1e-14 * eigs.max())
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
 # mcd_consistency_factor(c, d) for the coverages below, computed once with

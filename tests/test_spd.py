@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from wcons import (InvalidInput, NotPositiveDefinite, SymMatrix, certify_spd,
                    spd_exp, spd_log, spd_power, sym_eigen)
@@ -331,3 +331,105 @@ class TestPlanarSqrtPsdBatch:
 
     def test_empty_stack(self):
         assert sqrt_psd_batch(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+
+
+def eigh_reference(m):
+    """Eigenpairs from np.linalg.eigh in sym_eigen's order: descending,
+    ties in the solver's order."""
+    w, v = np.linalg.eigh(m)
+    order = np.argsort(-w, kind="stable")
+    return w[order], v[:, order]
+
+
+def check_planar_eigen(m):
+    """The planar eigenpairs against eigh: eigenvalues and the
+    reconstruction V diag(w) V^T within 1e-12 of the largest eigenvalue
+    magnitude, columns orthonormal within 1e-14, values descending."""
+    sym = SymMatrix(m)
+    w, v = sym_eigen(sym)
+    ref_w, _ = eigh_reference(sym.entries)
+    top = np.abs(ref_w).max()
+    assert np.abs(w - ref_w).max() <= 1e-12 * top
+    assert np.abs((v * w) @ v.T - sym.entries).max() <= 1e-12 * top
+    assert np.abs(v.T @ v - np.eye(2)).max() <= 1e-14
+    assert w[0] >= w[1]
+
+
+class TestPlanarSymEigen:
+    """The 2 x 2 eigenpairs computed without LAPACK, over scales 1e-6 to
+    1e6, condition numbers up to 1e12 and any angle."""
+
+    @ENVELOPE
+    @given(SCALE_EXP, st.floats(0.0, 12.0), ANGLE, st.booleans())
+    def test_matches_eigh_reference(self, e, c, angle, indefinite):
+        scale = 10.0 ** e
+        low = scale / 10.0 ** c
+        check_planar_eigen(planar_psd(scale, 1.0, angle,
+                                      low=-low if indefinite else low))
+
+    @ENVELOPE
+    @given(SCALE_EXP, st.floats(-6.0, 6.0), st.booleans())
+    def test_exactly_diagonal(self, e, ratio, swap):
+        a, c = 10.0 ** e, 10.0 ** (e + ratio)
+        m = np.diag([c, a] if swap else [a, c])
+        check_planar_eigen(m)
+        w, v = sym_eigen(SymMatrix(m))
+        np.testing.assert_array_equal(w, sorted([a, c], reverse=True))
+        assert set(np.abs(v).ravel()) == {0.0, 1.0}
+
+    @ENVELOPE
+    @given(SCALE_EXP, st.floats(-300.0, -6.0), st.booleans())
+    def test_isotropic_with_tiny_off_diagonal(self, e, rel, negative):
+        # Off-diagonals from 1e-6 of the diagonal down to far below the
+        # negligible-entry test, including the exact identity multiple.
+        scale = 10.0 ** e
+        b = (-1.0 if negative else 1.0) * scale * 10.0 ** rel
+        check_planar_eigen(np.array([[scale, b], [b, scale]]))
+
+    @ENVELOPE
+    @given(SCALE_EXP, st.floats(-1.0, 1.0), st.floats(-20.0, -8.0))
+    def test_tiny_off_diagonal(self, e, ratio, rel):
+        a, c = 10.0 ** e, 10.0 ** (e + ratio)
+        b = a * 10.0 ** rel
+        check_planar_eigen(np.array([[a, b], [b, c]]))
+
+    def test_isotropic_keeps_the_solver_order(self):
+        w, v = sym_eigen(SymMatrix(3.0 * np.eye(2)))
+        np.testing.assert_array_equal(w, [3.0, 3.0])
+        np.testing.assert_array_equal(v, np.eye(2))
+
+    @pytest.mark.parametrize("scale", [1e-130, 1e150])
+    def test_extreme_scales_take_eigh(self, scale):
+        # Outside [1e-120, 1e140] LAPACK rescales before its 2 x 2 step,
+        # so these matrices go to eigh itself.
+        m = planar_psd(scale, 10.0, 0.3)
+        check_planar_eigen(m)
+        w, v = sym_eigen(SymMatrix(m))
+        ref_w, ref_v = eigh_reference(SymMatrix(m).entries)
+        np.testing.assert_array_equal(w, ref_w)
+        np.testing.assert_array_equal(v, ref_v)
+
+
+class TestPlanarCertify:
+    @ENVELOPE
+    @given(SCALE_EXP, st.floats(-6.0, 0.0), ANGLE)
+    def test_rejects_clearly_indefinite(self, e, rel, angle):
+        scale = 10.0 ** e
+        low = -scale * 10.0 ** rel
+        with pytest.raises(NotPositiveDefinite) as err:
+            certify_spd(planar_psd(scale, 1.0, angle, low=low))
+        assert err.value.min_eigenvalue == pytest.approx(low, rel=1e-6)
+
+    @ENVELOPE
+    @given(SCALE_EXP, st.floats(0.0, 12.0), ANGLE)
+    def test_decides_like_eigh_away_from_the_floor(self, e, c, angle):
+        m = SymMatrix(planar_psd(10.0 ** e, 10.0 ** c, angle)).entries
+        ref_w, _ = eigh_reference(m)
+        floor = pd_floor(ref_w)
+        assume(abs(ref_w[-1] - floor) > 1e-6 * floor)
+        try:
+            certify_spd(m)
+            accepted = True
+        except NotPositiveDefinite:
+            accepted = False
+        assert accepted == (ref_w[-1] > floor)

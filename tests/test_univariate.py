@@ -155,6 +155,18 @@ class TestQuantileBarycenter:
         with pytest.raises(BadWeights):
             quantile_barycenter([1.0], [f, g])
 
+    @pytest.mark.parametrize("weights", [[math.nan, math.nan],
+                                         [math.inf, 0.5], [0.5, math.nan]])
+    def test_non_finite_weights_rejected(self, weights):
+        # variance_1d used to return nan for NaN weights.
+        f = constant_grid(0.0)
+        g = constant_grid(1.0)
+        bary = quantile_barycenter([0.5, 0.5], [f, g])
+        with pytest.raises(BadWeights, match="finite"):
+            quantile_barycenter(weights, [f, g])
+        with pytest.raises(BadWeights, match="finite"):
+            variance_1d(weights, [f, g], bary)
+
     def test_resolution_mismatch(self):
         with pytest.raises(GridMismatch):
             quantile_barycenter([0.5, 0.5],
