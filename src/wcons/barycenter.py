@@ -10,19 +10,20 @@ found by the fixed-point iteration
     S <- S^{-1/2} (sum_j lam_j (S^{1/2} S_j S^{1/2})^{1/2})^2 S^{-1/2}
 
 which stays in the positive definite cone and converges from any positive
-definite start.  The weighted average of the member S_j is used as the
-starting point.
+definite start.  The weighted average of the member S_j is the default
+starting point; the trimming search starts each new kept set from the
+scatter of the nearest one it has solved.
 
 The iteration converges linearly, so the solver accelerates it with type-II
 Anderson mixing (Walker & Ni 2011): each plain step G(S) is corrected by the
-combination of the last ``ANDERSON_DEPTH`` steps whose residual differences
-best cancel the current residual G(S) - S, a least-squares fit solved
-through its small Gram system.  Every candidate must pass
-:func:`certify_spd`; when it does not, or the Gram system is singular or
-gives a non-finite solution, the plain step is taken and the history is
-cleared.  The stopping rule is checked on the plain step taken from the
-certified iterate, so a returned scatter satisfies the same certificate as
-one from the plain iteration.
+combination of the last ``ANDERSON_DEPTH`` steps (at most d (d + 1) / 2)
+whose residual differences best cancel the current residual G(S) - S, a
+least-squares fit solved through its small Gram system.  Every candidate
+must pass :func:`certify_spd`; when it does not, or the Gram system is
+singular or gives a non-finite solution, the plain step is taken and the
+history is cleared.  The stopping rule is checked on the plain step taken
+from the certified iterate, so a returned scatter satisfies the same
+certificate as one from the plain iteration.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ __all__ = [
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1000
 # Number of earlier steps the Anderson extrapolation mixes.
-ANDERSON_DEPTH = 4
+ANDERSON_DEPTH = 8
 
 
 @dataclass(frozen=True, eq=False)

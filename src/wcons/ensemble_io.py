@@ -50,16 +50,34 @@ def _entry_error(index: int, message: str) -> ParseError:
     return ParseError(f"distributions[{index}]: {message}")
 
 
+def _only_numbers(value) -> bool:
+    """Whether ``value`` is a JSON number or nested arrays of them; JSON
+    ``true``, ``false`` and strings are not numbers."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            return False
+    return True
+
+
 def _parse_entry(index: int, obj) -> tuple[float, LocScatter, str | None]:
     if not isinstance(obj, dict):
         raise _entry_error(index, "entry must be an object")
+    for name in ("weight", "mean", "cov"):
+        if name not in obj:
+            raise _entry_error(index, f"missing field {name!r}")
+        if not _only_numbers(obj[name]):
+            raise _entry_error(
+                index, f"{name} is not numeric: strings and booleans are "
+                       f"not numbers")
     try:
         weight = float(obj["weight"])
         mean = np.asarray(obj["mean"], dtype=float)
         cov = np.asarray(obj["cov"], dtype=float)
-    except KeyError as exc:
-        raise _entry_error(index, f"missing field {exc.args[0]!r}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _entry_error(index, f"bad numeric field: {exc}")
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
@@ -102,7 +120,10 @@ def parse_ensemble_text(text: str, normalize: bool = False) -> EnsembleDocument:
         raise ParseError("'distributions' must be a non-empty array")
     parsed = [_parse_entry(i, obj) for i, obj in enumerate(entries)]
     weights = np.array([p[0] for p in parsed])
-    total = weights.sum()
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if not np.isfinite(total):
+        raise BadWeights(f"weights sum to {float(total)!r}")
     if normalize:
         weights = weights / total
     elif abs(total - 1.0) > _WEIGHT_SUM_TOL:

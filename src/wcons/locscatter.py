@@ -14,7 +14,9 @@ Jain & Lim, arXiv:1712.01504):
         = sqrt(tr(S_P S_Q) + 2 sqrt(det S_P det S_Q)),
 
 which is how planar distances are computed; other dimensions take the
-eigenvalues of S_P^{1/2} S_Q S_P^{1/2}.
+eigenvalues of S_P^{1/2} S_Q S_P^{1/2}, and recompute the cross term as
+the nuclear norm of L_P^T L_Q (Cholesky factors) for pairs whose distance
+comes out near zero or below it.
 """
 
 from __future__ import annotations
@@ -106,6 +108,10 @@ def _bures_sq(center: LocScatter, means: np.ndarray,
     out = gaps + traces - cross
     scale = np.maximum(traces + gaps, 1e-300)
     bad = out < -1e-10 * scale
+    if center.dim != 2:
+        # Off the closed form, rows near zero are flagged too: there the
+        # eigenvalue pass errs by up to about 1e-9 of scale either way.
+        bad |= out <= 1e-8 * scale
     if np.any(bad):
         # Square roots of the tiny eigenvalues of S^{1/2} S_j S^{1/2}
         # amplify its round-off.  The flagged rows take the cross term

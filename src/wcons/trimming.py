@@ -6,8 +6,11 @@ if needed, and renormalizes.  Alternating that concentration step with a
 barycenter recomputation descends the trimmed variance; multistart guards
 against local minima.  The restarts of one call share their inner
 barycenter solves: a kept-weight vector already solved by an earlier
-restart is not solved again, and since the solve is deterministic the
-results are the same as solving it afresh.  An exhaustive subset search
+restart is not solved again, and a new one starts its iteration from the
+barycenter scatter of the nearest solved kept set (a cold start for the
+call's first solve and for a single kept atom).  Warm starts move the
+floats at the level of the solver's tolerance, and the result still
+depends only on the ensemble and the config.  An exhaustive subset search
 provides an independent oracle for small equal-weight ensembles.
 """
 
@@ -115,13 +118,28 @@ def trim_weights(distances, weights, alpha: float) -> np.ndarray:
     return kept / target
 
 
+def _warm_start(solved: dict, lam_star: np.ndarray) -> np.ndarray | None:
+    """Start for the solve of ``lam_star``: the scatter of the solved kept
+    set nearest to it in L1 distance between kept-weight vectors, ties to
+    the earliest solved.  ``None`` (a cold start) for the call's first
+    solve and for a single kept atom, which then starts at its own scatter
+    as in the exhaustive oracle."""
+    if not solved or np.count_nonzero(lam_star) == 1:
+        return None
+    keys = list(solved)
+    lams = np.frombuffer(b"".join(keys)).reshape(len(keys), -1)
+    gaps = np.abs(lams - lam_star).sum(axis=1)
+    return solved[keys[int(np.argmin(gaps))]].bary.cov.entries
+
+
 def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int,
                   solved: dict):
     """One multistart path; returns (bary, weights, variance, history).
 
     ``solved`` maps the bytes of a kept-weight vector to its barycenter
-    solve; the path reuses an entry instead of solving that set again and
-    adds the solves it makes.
+    solve, in the order solved; the path reuses an entry instead of
+    solving that set again, warm-starts the solves it makes from it and
+    adds them.
     """
     gen = RngState(cfg.seed).split(index).generator()
     center = ens.members[int(gen.integers(ens.size))]
@@ -140,7 +158,8 @@ def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int,
             active = lam_star > 0.0
             res = solved[key] = _barycenter(
                 lam_star[active], means[active], covs[active],
-                cfg.inner_tol, cfg.inner_max_iter)
+                cfg.inner_tol, cfg.inner_max_iter,
+                _warm_start(solved, lam_star))
         center = res.bary
         new_var = res.variance
         history.append(new_var)
@@ -176,8 +195,9 @@ def trimmed_barycenter(ens: WeightedEnsemble, cfg: TrimConfig) -> TrimmedResult:
     vector repeats or the trimmed variance stops improving, and the restart
     with the smallest final variance wins; ties go to the lowest restart
     index.  Restarts run in order and share their inner solves, so a kept
-    set reached by several restarts is solved once per call; results
-    depend only on the ensemble and the config.
+    set reached by several restarts is solved once per call, and each new
+    solve starts from the nearest solved set; results depend only on the
+    ensemble and the config.
     """
     solved: dict = {}
     paths = [_restart_path(ens, cfg, r, solved) for r in range(cfg.restarts)]

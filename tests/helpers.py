@@ -99,3 +99,24 @@ def planar_psd(scale, condition, angle, low=None):
 def directional_sigmas(cov_entries, q):
     """Standard deviations of a scatter along the columns of ``q``."""
     return np.sqrt(np.diag(q.T @ cov_entries @ q))
+
+
+def far_outlier_ensemble(seed, k, dim, condition_cap=100.0, every=5):
+    """Random ensemble whose every ``every``-th member is moved 50 units
+    away along each axis."""
+    ens = random_ensemble(np.random.default_rng(seed), k, dim,
+                          condition_cap=condition_cap)
+    members = tuple(
+        LocScatter(m.mean + (50.0 if i % every == 0 else 0.0), m.cov)
+        for i, m in enumerate(ens.members))
+    return WeightedEnsemble(ens.weights, members)
+
+
+def wide_grid():
+    """Twelve seeded ensembles of the wide-consensus shape: d 8/16, k 20/60,
+    condition numbers up to 1e2/1e4/1e6, every eighth member far away."""
+    for dim in (8, 16):
+        for k in (20, 60):
+            for exponent in (2, 4, 6):
+                yield far_outlier_ensemble([dim, k, exponent], k, dim,
+                                           10.0 ** exponent, every=8)

@@ -24,7 +24,7 @@ from wcons.locscatter import _bures_sq
 
 from helpers import (commuting_ensemble, directional_sigmas, gauss, gauss_1d,
                      random_ensemble, random_member, random_orthogonal,
-                     sigma_trio)
+                     sigma_trio, wide_grid)
 
 
 def plain_barycenter(ens, tol=1e-12, max_iter=1000):
@@ -330,6 +330,14 @@ class TestAndersonAcceleration:
         assert {d for d, _ in covered} == {1, 2, 5, 8, 16}
         assert {e for _, e in covered} == {2, 4, 6, 8}
         assert fast_steps <= 0.5 * plain_steps
+
+    def test_wide_grid_step_count(self):
+        # Twelve seeded ensembles of the wide-consensus shape, d 8/16,
+        # k 20/60, condition numbers up to 1e2/1e4/1e6.  A history of 8
+        # takes 201 steps in all; a history of 4 took 220.
+        steps = sum(fixed_point_barycenter(ens).iterations
+                    for ens in wide_grid())
+        assert steps <= 201
 
     def test_rejected_candidate_falls_back_to_plain_step(self, monkeypatch):
         ens = random_ensemble(np.random.default_rng(71), 20, 5,

@@ -423,6 +423,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "solver failure: Singular matrix\n"
 
+    @pytest.mark.parametrize("weight, mean, cov", [
+        (True, [0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]]),
+        (1.0, ["1", "2"], [[1.0, 0.0], [0.0, 1.0]]),
+        (1.0, [0.0, 1.0], [[1.0, "0"], [0.0, 1.0]]),
+        (1.0, [0.0, False], [[1.0, 0.0], [0.0, 1.0]]),
+    ])
+    def test_non_numeric_fields_are_exit_1(self, tmp_path, capsys, weight,
+                                           mean, cov):
+        path = gauss_doc(tmp_path / "s.json", [(weight, mean, cov)])
+        assert run_command(["barycenter", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: distributions[0]: ")
+        assert "not numeric" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--normalize"]])
+    def test_overflowing_weight_sum_is_one_line(self, tmp_path, flags):
+        # A real process: numpy's overflow warning would print its own
+        # lines to stderr ahead of the error.
+        path = gauss_doc(tmp_path / "w.json", [(1e308, [0.0], [[1.0]]),
+                                               (1e308, [1.0], [[1.0]])])
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-m", "wcons.cli",
+                               "barycenter", path] + flags,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1
+        assert proc.stderr == "error: weights sum to inf\n"
+
 
 class TestModuleEntryPoint:
     def test_subprocess_smoke(self, tmp_path):

@@ -124,6 +124,30 @@ class TestParseEnsemble:
             parse_ensemble_text(doc_text(
                 [entry(1.0, ["zero"], [[1.0]])]))
 
+    @pytest.mark.parametrize("field, value", [
+        ("weight", True), ("weight", "1"), ("mean", ["1", "2"]),
+        ("mean", [True, 0.0]), ("cov", [[1.0, "0"], [0.0, 1.0]]),
+        ("cov", [[1.0, None], [0.0, 1.0]]),
+    ])
+    def test_non_numbers_are_rejected(self, field, value):
+        obj = entry(1.0, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        obj[field] = value
+        with pytest.raises(ParseError,
+                           match=rf"distributions\[0\]: {field} is not"):
+            parse_ensemble_text(doc_text([obj]))
+
+    def test_integer_too_large_for_a_float(self):
+        text = doc_text([entry(1, [10 ** 400], [[1]])])
+        with pytest.raises(ParseError, match="too large"):
+            parse_ensemble_text(text)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_overflowing_weight_sum_is_rejected(self, normalize):
+        text = doc_text([entry(1e308, [0.0], [[1.0]]),
+                         entry(1e308, [1.0], [[1.0]])])
+        with pytest.raises(BadWeights, match="sum to inf"):
+            parse_ensemble_text(text, normalize=normalize)
+
     def test_dimension_mismatch_between_entries(self):
         from wcons import DimensionMismatch
         text = doc_text([entry(0.5, [0.0], [[1.0]]),

@@ -143,18 +143,19 @@ class TestDistance:
 class TestPositivityRescue:
     def test_ill_conditioned_self_distances_are_rescued(self):
         # From each member of a d = 16 ensemble with condition numbers up
-        # to 1e8, the eigenvalue pass loses positivity on the member's own
-        # row: the square roots of the tiny eigenvalues of S^2 amplify
-        # their round-off.  Those rows are recomputed from the Cholesky
-        # factors and come out at zero to 1e-14 of their scale; every
-        # other row keeps its bits.
+        # to 1e8, the eigenvalue pass errs on the member's own row, below
+        # zero or above it: the square roots of the tiny eigenvalues of
+        # S^2 amplify their round-off.  Rows within 1e-8 of their scale
+        # of zero, or below it, are recomputed from the Cholesky factors
+        # and come out at zero to 1e-14 of their scale; every other row
+        # keeps its bits.
         ens = random_ensemble(np.random.default_rng(0), 20, 16,
                               condition_cap=1e8)
         means, covs = ens.means(), ens.covs()
         rescued = 0
         for i, center in enumerate(ens.members):
             first, scale = eigvalsh_bures_sq(center, means, covs)
-            flagged = first < -1e-10 * scale
+            flagged = first <= 1e-8 * scale
             assert set(np.flatnonzero(flagged)) <= {i}
             got = w2_distances_sq(center, ens.members)
             np.testing.assert_array_equal(got[~flagged],
@@ -163,6 +164,18 @@ class TestPositivityRescue:
                 assert 0.0 <= got[i] <= 1e-14 * scale[i]
                 rescued += 1
         assert rescued >= 3
+
+    @pytest.mark.parametrize("cap", [1e2, 1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("dim", [3, 8, 16])
+    def test_self_distance_is_zero_to_round_off(self, dim, cap):
+        # W2^2(p, p) through the general path, where the eigenvalue pass
+        # alone left up to 2e-9 of scale at condition 1e8 and 3e-11 at 1e6
+        # (100 seeds per cell); the rescue gives at most 8e-16.
+        for seed in range(10):
+            gen = np.random.default_rng([seed, dim, round(math.log10(cap))])
+            p = random_member(gen, dim, 1.0, cap)
+            got = _bures_sq(p, p.mean[None], p.cov.entries[None])[0]
+            assert 0.0 <= got <= 1e-14 * 2.0 * p.cov.trace()
 
 
 class TestGeneralDimensionKernel:
