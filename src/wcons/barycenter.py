@@ -32,11 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BadWeights, DimensionMismatch, InvalidInput,
-                     MaxIterationsExceeded, NotPositiveDefinite, check_count)
+from .errors import (DimensionMismatch, InvalidInput, MaxIterationsExceeded,
+                     NotPositiveDefinite, check_count, check_weights)
 from .locscatter import LocScatter, _bures_sq
-from .spd import (SpdMatrix, SymMatrix, certify_spd, check_same_dim, spd_exp,
-                  spd_log, sqrt_psd_batch)
+from .spd import (SpdMatrix, SymMatrix, certify_spd, spd_exp, spd_log,
+                  sqrt_psd_batch)
 
 __all__ = [
     "WeightedEnsemble",
@@ -69,17 +69,8 @@ class WeightedEnsemble:
     _covs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        lam = np.asarray(self.weights, dtype=float)
         members = tuple(self.members)
-        if lam.ndim != 1 or lam.shape[0] != len(members):
-            raise BadWeights(
-                f"{len(members)} members but weight shape {lam.shape}")
-        if len(members) == 0:
-            raise BadWeights("ensemble must contain at least one member")
-        if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
-            raise BadWeights("weights must be finite and strictly positive")
-        if abs(lam.sum() - 1.0) > 1e-9:
-            raise BadWeights(f"weights sum to {float(lam.sum())!r}, expected 1")
+        lam = check_weights(self.weights, len(members))
         dims = {m.dim for m in members}
         if len(dims) != 1:
             raise DimensionMismatch(f"members span dimensions {sorted(dims)}")
@@ -96,10 +87,8 @@ class WeightedEnsemble:
     @classmethod
     def equal_weights(cls, members) -> "WeightedEnsemble":
         members = tuple(members)
-        k = len(members)
-        if k == 0:
-            raise BadWeights("ensemble must contain at least one member")
-        return cls(np.full(k, 1.0 / k), members)
+        # No members reach the weights check, which rejects them.
+        return cls(np.full(len(members), 1.0 / max(len(members), 1)), members)
 
     @property
     def size(self) -> int:
@@ -159,11 +148,14 @@ def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
                 start: np.ndarray | None = None) -> BarycenterResult:
     """Barycenter of the stacked members ``means``, ``covs`` weighted by
     ``lam``; the accelerated scatter iteration starts from ``start`` or, by
-    default, the weighted mean of the scatters."""
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise InvalidInput(f"tol must be finite and positive, got {tol!r}")
-    check_count(max_iter, "max_iter", 0)
-    s = np.einsum("k,kij->ij", lam, covs) if start is None else start
+    default, the weighted mean of the scatters.  A single atom is its own
+    barycenter: it starts at its scatter whatever ``start`` says and
+    returns at step 0 with the residual that step measured."""
+    single = lam.shape[0] == 1
+    if single or start is None:
+        s = np.einsum("k,kij->ij", lam, covs)
+    else:
+        s = start
     d = s.shape[0]
     # Differences of symmetric matrices span d (d + 1) / 2 dimensions; more
     # pairs than that would make the Gram matrix singular.
@@ -180,7 +172,7 @@ def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
         norm_s = np.linalg.norm(s)
         residual = np.linalg.norm(mixed - s) / norm_s
         change = np.linalg.norm(s_next - s) / norm_s
-        if change < tol and residual <= 10.0 * tol:
+        if single or (change < tol and residual <= 10.0 * tol):
             bary = LocScatter(lam @ means, spd)
             return BarycenterResult(
                 bary=bary, iterations=step, residual=float(residual),
@@ -213,8 +205,7 @@ def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
 
 
 def fixed_point_barycenter(ens: WeightedEnsemble, tol: float = DEFAULT_TOL,
-                           max_iter: int = DEFAULT_MAX_ITER,
-                           init: SpdMatrix | None = None) -> BarycenterResult:
+                           max_iter: int = DEFAULT_MAX_ITER) -> BarycenterResult:
     """Barycenter of the ensemble with convergence diagnostics.
 
     Runs the Anderson-accelerated scatter iteration (see the module
@@ -223,15 +214,15 @@ def fixed_point_barycenter(ens: WeightedEnsemble, tol: float = DEFAULT_TOL,
     relative residual of the fixed-point condition is at most ``10 * tol``;
     the returned scatter is that certified iterate.  Raises
     :class:`MaxIterationsExceeded` when ``max_iter`` steps do not get
-    there.
+    there; a one-member ensemble returns its member at step 0.
     ``tol`` must be finite and positive and ``max_iter`` nonnegative.
     The reported variance is the weighted sum of squared distances from
     the members to the barycenter.
     """
-    if init is not None:
-        check_same_dim(ens.dim, init.dim)
-    return _barycenter(ens.weights, ens.means(), ens.covs(), tol, max_iter,
-                       None if init is None else init.entries)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise InvalidInput(f"tol must be finite and positive, got {tol!r}")
+    check_count(max_iter, "max_iter", 0)
+    return _barycenter(ens.weights, ens.means(), ens.covs(), tol, max_iter)
 
 
 def g_map(ens: WeightedEnsemble, eta: LocScatter) -> LocScatter:

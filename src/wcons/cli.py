@@ -12,13 +12,15 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
 
 import numpy as np
 
-from .barycenter import (fixed_point_barycenter, linear_mean,
+from .barycenter import (DEFAULT_MAX_ITER, DEFAULT_TOL,
+                         fixed_point_barycenter, linear_mean,
                          log_euclidean_mean)
 from .errors import (DegenerateTrim, InvalidInput, MaxIterationsExceeded,
                      NotPositiveDefinite, ParseError, SingularSubset,
@@ -206,12 +208,13 @@ def cmd_compare(args):
 
 def cmd_ellipse(args):
     doc = _load_document(args.ensemble, args.normalize)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("label,x,y\n")
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("label", "x", "y"))
         for i, member in enumerate(doc.ensemble.members):
             label = doc.labels[i] or f"entry-{i}"
             for x, y in ellipse_points(member, args.count):
-                fh.write(f"{label},{float(x)!r},{float(y)!r}\n")
+                writer.writerow((label, repr(float(x)), repr(float(y))))
     print(f"wrote {doc.ensemble.size * args.count} points to {args.out}")
     return 0
 
@@ -304,15 +307,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("barycenter", help="barycenter of an ensemble")
     ens_arg(p)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_barycenter)
 
     p = sub.add_parser("trim", help="trimmed barycenter")
     ens_arg(p)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--restarts", type=int, default=TrimConfig.restarts)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_trim)
@@ -321,7 +324,7 @@ def build_parser() -> _Parser:
                        help="trimmed variance over a range of alphas")
     ens_arg(p)
     p.add_argument("--alphas", required=True, metavar="START:STOP:STEP")
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--restarts", type=int, default=TrimConfig.restarts)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_variance_curve)

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the count check."""
+"""Exception types shared across the package, and the input rules that
+several modules apply: counts, trimming levels and weight vectors."""
 
 import operator
+
+import numpy as np
 
 
 class InvalidInput(ValueError):
@@ -17,6 +20,29 @@ def check_count(value, name: str, minimum: int) -> None:
     if not ok:
         raise InvalidInput(
             f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_alpha(value, name: str = "alpha") -> None:
+    """Raise :class:`InvalidInput` unless ``value`` is a trimming level in
+    [0, 1)."""
+    if not 0.0 <= value < 1.0:
+        raise InvalidInput(f"{name} must lie in [0, 1), got {value}")
+
+
+def check_weights(weights, count: int) -> np.ndarray:
+    """``weights`` as a float vector, or :class:`BadWeights` unless it has
+    ``count >= 1`` finite, strictly positive entries summing to one within
+    1e-9."""
+    lam = np.asarray(weights, dtype=float)
+    if lam.ndim != 1 or lam.shape[0] != count:
+        raise BadWeights(f"expected {count} weights, got shape {lam.shape}")
+    if count == 0:
+        raise BadWeights("ensemble must contain at least one member")
+    if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
+        raise BadWeights("weights must be finite and strictly positive")
+    if abs(lam.sum() - 1.0) > 1e-9:
+        raise BadWeights(f"weights sum to {float(lam.sum())!r}, expected 1")
+    return lam
 
 
 class DimensionMismatch(InvalidInput):

@@ -81,9 +81,6 @@ class AffineMap:
         x = np.asarray(x, dtype=float)
         return self.target_mean + (x - self.source_mean) @ self.matrix.entries
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
-
 
 def _bures_sq(center: LocScatter, means: np.ndarray,
               covs: np.ndarray) -> np.ndarray:

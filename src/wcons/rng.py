@@ -8,9 +8,13 @@ order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
+
+from .errors import InvalidInput
 
 __all__ = ["RngState", "splitmix64"]
 
@@ -31,13 +35,19 @@ def splitmix64(x: int) -> int:
 
 @dataclass(frozen=True)
 class RngState:
-    """A reproducible random state: 64-bit seed plus a fixed algorithm tag."""
+    """A reproducible random state: an integer seed (Python or numpy),
+    reduced to 64 bits."""
 
     seed: int
-    algorithm: str = "pcg64-splitmix64"
+    algorithm: ClassVar[str] = "pcg64-splitmix64"
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed) & _MASK64)
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise InvalidInput(
+                f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed & _MASK64)
 
     def generator(self) -> np.random.Generator:
         """Fresh numpy generator for this state."""
@@ -53,4 +63,4 @@ class RngState:
         if index < 0:
             raise ValueError("split index must be nonnegative")
         mixed = splitmix64(self.seed) ^ (int(index) & _MASK64)
-        return RngState(splitmix64(mixed), self.algorithm)
+        return RngState(splitmix64(mixed))

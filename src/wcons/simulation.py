@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import importlib.resources
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .barycenter import (WeightedEnsemble, fixed_point_barycenter,
                          linear_mean)
-from .errors import InvalidInput, SingularSubset, check_count
+from .errors import InvalidInput, SingularSubset, check_alpha, check_count
 from .locscatter import LocScatter, w2_distance_sq
 from .rng import RngState
 from .spd import SpdMatrix, certify_spd
@@ -183,13 +184,14 @@ def _c_step_paths(clouds: np.ndarray, owner: np.ndarray, h: int,
 
 
 def c_step_path(points: np.ndarray, h: int, mean: np.ndarray,
-                cov: np.ndarray, max_steps: int = 100):
+                cov: np.ndarray):
     """Concentration steps from an initial fit until the support repeats.
 
     Each step keeps the ``h`` points with smallest Mahalanobis distance
     (ties by original index) and refits mean and maximum-likelihood
     covariance on them; the covariance determinant never increases along
-    the path.  Returns ``(mean, cov, support, logdet_history)``.
+    the path, which stops after at most 100 refits.  Returns ``(mean, cov,
+    support, logdet_history)``.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -197,10 +199,9 @@ def c_step_path(points: np.ndarray, h: int, mean: np.ndarray,
     check_count(h, "h", 1)
     if not h <= pts.shape[0]:
         raise InvalidInput(f"need 1 <= h <= n, got h={h}, n={pts.shape[0]}")
-    check_count(max_steps, "max_steps", 0)
     means, covs, supports, history, steps, failed = _c_step_paths(
         pts[None], np.zeros(1, dtype=np.intp), h, np.asarray(mean)[None],
-        np.asarray(cov)[None], max_steps)
+        np.asarray(cov)[None])
     if failed[0]:
         raise SingularSubset("concentration path hit a singular covariance")
     support = supports[0] if steps[0] else None
@@ -271,21 +272,17 @@ def estimate_mcd(points: np.ndarray, h: int, restarts: int, rng) -> LocScatter:
     return _mcd_fits(pts[None], h, restarts, [_generator(rng)])[0]
 
 
-def _standard_gaussian(dim: int) -> LocScatter:
-    return LocScatter(np.zeros(dim), certify_spd(np.eye(dim)))
-
-
 @dataclass(frozen=True)
 class HospitalConfig:
-    """Settings for the contaminated multi-unit estimation study."""
+    """Settings for the contaminated multi-unit estimation study; the clean
+    law ``inlier``, also the target, and the ``outlier`` law are fixed."""
 
+    inlier: ClassVar[LocScatter] = LocScatter(np.zeros(2),
+                                              certify_spd(np.eye(2)))
+    outlier: ClassVar[LocScatter] = LocScatter(np.array([4.0, 4.0]),
+                                               certify_spd(np.eye(2)))
     k: int = 100
     n: int = 100
-    inlier: LocScatter = field(
-        default_factory=lambda: _standard_gaussian(2))
-    outlier: LocScatter = field(
-        default_factory=lambda: LocScatter(np.array([4.0, 4.0]),
-                                           certify_spd(np.eye(2))))
     contamination_beta: tuple[float, float] | None = (4.0, 36.0)
     mcd_fraction: float = 0.8
     alpha_trim: float = 0.2
@@ -296,16 +293,14 @@ class HospitalConfig:
     def __post_init__(self):
         for name in ("k", "n", "mcd_restarts", "trim_restarts"):
             check_count(getattr(self, name), name, 1)
-        if self.inlier.dim != self.outlier.dim:
-            raise InvalidInput("inlier and outlier dimensions differ")
         if self.contamination_beta is not None:
             a, b = self.contamination_beta
             if a <= 0.0 or b <= 0.0:
                 raise InvalidInput("Beta parameters must be positive")
         if not 0.0 < self.mcd_fraction <= 1.0:
             raise InvalidInput("mcd_fraction must lie in (0, 1]")
-        if not 0.0 <= self.alpha_trim < 1.0:
-            raise InvalidInput("alpha_trim must lie in [0, 1)")
+        check_alpha(self.alpha_trim, "alpha_trim")
+        RngState(self.seed)  # rejects a seed that is not an integer
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,7 +32,6 @@ __all__ = [
     "SpdMatrix",
     "sym_eigen",
     "certify_spd",
-    "spd_power",
     "spd_log",
     "spd_exp",
 ]
@@ -217,13 +216,6 @@ def certify_spd(m: SymMatrix | np.ndarray) -> SpdMatrix:
         )
     return SpdMatrix(base=m, min_eigenvalue=smallest,
                      eigenvalues=_frozen(w), eigenvectors=_frozen(v))
-
-
-def spd_power(m: SpdMatrix, p: float) -> SpdMatrix:
-    """Fractional power of a certified matrix; ``p`` is 0.5 or -0.5."""
-    if p not in (0.5, -0.5):
-        raise InvalidInput(f"power {p!r} not supported, use 0.5 or -0.5")
-    return certify_spd(_rebuild(m.eigenvectors, m.eigenvalues ** p))
 
 
 def spd_log(m: SpdMatrix) -> SymMatrix:

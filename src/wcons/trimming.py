@@ -8,9 +8,9 @@ against local minima.  The restarts of one call share their inner
 barycenter solves: a kept-weight vector already solved by an earlier
 restart is not solved again, and a new one starts its iteration from the
 barycenter scatter of the nearest solved kept set (a cold start for the
-call's first solve and for a single kept atom).  Warm starts move the
-floats at the level of the solver's tolerance, and the result still
-depends only on the ensemble and the config.  An exhaustive subset search
+call's first solve).  Warm starts move the floats at the level of the
+solver's tolerance, and the result still depends only on the ensemble
+and the config.  An exhaustive subset search
 provides an independent oracle for small equal-weight ensembles.
 """
 
@@ -21,9 +21,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .barycenter import WeightedEnsemble, _barycenter
+from .barycenter import (DEFAULT_MAX_ITER, DEFAULT_TOL, WeightedEnsemble,
+                         _barycenter)
 from .errors import (BadWeights, DegenerateTrim, InvalidInput,
-                     UnsupportedConfiguration, check_count)
+                     UnsupportedConfiguration, check_alpha, check_count)
 from .locscatter import LocScatter, _bures_sq
 from .rng import RngState
 
@@ -41,27 +42,23 @@ __all__ = [
 # Slack when comparing cumulative weights against 1 - alpha; cumulative
 # sums of weights that sum to one can undershoot the target by a few ulps.
 _CUM_TOL = 1e-12
+# Cap on the concentration steps of one restart.
+OUTER_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
 class TrimConfig:
-    """Settings for the iterative trimmed-barycenter search."""
+    """Settings for the iterative trimmed-barycenter search; inner solves
+    use the solver's default budgets and restarts ``OUTER_MAX_ITER``."""
 
     alpha: float
     restarts: int = 10
     seed: int = 0
-    inner_tol: float = 1e-12
-    inner_max_iter: int = 1000
-    outer_max_iter: int = 100
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise InvalidInput(f"alpha must lie in [0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
         check_count(self.restarts, "restarts", 1)
-        check_count(self.outer_max_iter, "outer_max_iter", 1)
-        check_count(self.inner_max_iter, "inner_max_iter", 0)
-        if not (np.isfinite(self.inner_tol) and self.inner_tol > 0.0):
-            raise InvalidInput("inner_tol must be finite and positive")
+        RngState(self.seed)  # rejects a seed that is not an integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,8 +90,7 @@ def trim_weights(distances, weights, alpha: float) -> np.ndarray:
     reaches 1 - alpha, the boundary atom keeps the remainder, everything
     beyond is zeroed, and the kept weights are divided by 1 - alpha.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise InvalidInput(f"alpha must lie in [0, 1), got {alpha}")
+    check_alpha(alpha)
     d = np.asarray(distances, dtype=float)
     lam = np.asarray(weights, dtype=float)
     if d.shape != lam.shape or d.ndim != 1 or d.shape[0] == 0:
@@ -122,9 +118,8 @@ def _warm_start(solved: dict, lam_star: np.ndarray) -> np.ndarray | None:
     """Start for the solve of ``lam_star``: the scatter of the solved kept
     set nearest to it in L1 distance between kept-weight vectors, ties to
     the earliest solved.  ``None`` (a cold start) for the call's first
-    solve and for a single kept atom, which then starts at its own scatter
-    as in the exhaustive oracle."""
-    if not solved or np.count_nonzero(lam_star) == 1:
+    solve."""
+    if not solved:
         return None
     keys = list(solved)
     lams = np.frombuffer(b"".join(keys)).reshape(len(keys), -1)
@@ -147,7 +142,7 @@ def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int,
     lam_final = None
     var = None
     history: list[float] = []
-    for _ in range(cfg.outer_max_iter):
+    for _ in range(OUTER_MAX_ITER):
         lam_star = trim_weights(_bures_sq(center, means, covs), ens.weights,
                                 cfg.alpha)
         if lam_final is not None and np.array_equal(lam_star, lam_final):
@@ -158,8 +153,7 @@ def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int,
             active = lam_star > 0.0
             res = solved[key] = _barycenter(
                 lam_star[active], means[active], covs[active],
-                cfg.inner_tol, cfg.inner_max_iter,
-                _warm_start(solved, lam_star))
+                DEFAULT_TOL, DEFAULT_MAX_ITER, _warm_start(solved, lam_star))
         center = res.bary
         new_var = res.variance
         history.append(new_var)
@@ -226,8 +220,7 @@ def verify_ball_property(result: TrimmedResult, ens: WeightedEnsemble,
     strictly outside must carry none, and at most one atom, sitting on the
     boundary shell, may be partially kept.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise InvalidInput(f"alpha must lie in [0, 1), got {alpha}")
+    check_alpha(alpha)
     lam_star = np.asarray(result.active_weights, dtype=float)
     if lam_star.shape != ens.weights.shape:
         raise BadWeights("active weights do not match the ensemble")
@@ -277,8 +270,8 @@ def variance_curve(ens: WeightedEnsemble, alphas,
                    cfg: TrimConfig) -> list[CurvePoint]:
     """Trimmed variance as a function of the trimming level."""
     alphas = [float(a) for a in alphas]
-    if any(not 0.0 <= a < 1.0 for a in alphas):
-        raise InvalidInput("every alpha must lie in [0, 1)")
+    for a in alphas:
+        check_alpha(a)
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise InvalidInput("alphas must be strictly ascending")
     points = []
@@ -289,16 +282,14 @@ def variance_curve(ens: WeightedEnsemble, alphas,
     return points
 
 
-def brute_force_trimmed(ens: WeightedEnsemble, alpha: float,
-                        inner_tol: float = 1e-12,
-                        inner_max_iter: int = 1000) -> TrimmedResult:
+def brute_force_trimmed(ens: WeightedEnsemble, alpha: float) -> TrimmedResult:
     """Exhaustive oracle for equal weights and alpha a multiple of 1/k.
 
     With k equally weighted atoms and alpha = j/k the optimal trimming
     keeps exactly k - j atoms at full weight, so scanning every subset of
     that size and keeping the lowest-variance one (ties resolved toward
-    the lexicographically smallest subset) is exact.  Only meant for
-    k <= 12.
+    the lexicographically smallest subset) is exact.  Each subset is
+    solved like a trimming inner solve.  Only meant for k <= 12.
     """
     k = ens.size
     if k > 12:
@@ -315,8 +306,8 @@ def brute_force_trimmed(ens: WeightedEnsemble, alpha: float,
     best = None
     for subset in itertools.combinations(range(k), keep):
         idx = list(subset)
-        res = _barycenter(lam, means[idx], covs[idx], inner_tol,
-                          inner_max_iter)
+        res = _barycenter(lam, means[idx], covs[idx], DEFAULT_TOL,
+                          DEFAULT_MAX_ITER)
         if best is None or res.variance < best[0].variance:
             best = res, idx
     res, idx = best

@@ -12,7 +12,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import BadWeights, GridMismatch, InvalidInput, check_count
+from .errors import GridMismatch, InvalidInput, check_count, check_weights
 
 __all__ = [
     "QuantileGrid",
@@ -68,23 +68,10 @@ def w2_distance_1d(f: QuantileGrid, g: QuantileGrid) -> float:
     return float(diff @ diff) / f.size
 
 
-def _check_weights(weights, count: int) -> np.ndarray:
-    lam = np.asarray(weights, dtype=float)
-    if lam.ndim != 1 or lam.shape[0] != count:
-        raise BadWeights(f"expected {count} weights, got shape {lam.shape}")
-    if count == 0:
-        raise BadWeights("empty ensemble")
-    if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
-        raise BadWeights("weights must be finite and strictly positive")
-    if abs(lam.sum() - 1.0) > 1e-9:
-        raise BadWeights(f"weights sum to {float(lam.sum())!r}, expected 1")
-    return lam
-
-
 def quantile_barycenter(weights, grids) -> QuantileGrid:
     """Barycenter of quantile grids: the weighted pointwise average."""
     grids = list(grids)
-    lam = _check_weights(weights, len(grids))
+    lam = check_weights(weights, len(grids))
     _check_sizes(grids)
     stacked = np.stack([g.values for g in grids])
     return QuantileGrid(lam @ stacked)
@@ -93,7 +80,7 @@ def quantile_barycenter(weights, grids) -> QuantileGrid:
 def variance_1d(weights, grids, bary: QuantileGrid) -> float:
     """Weighted mean of squared distances from each grid to ``bary``."""
     grids = list(grids)
-    lam = _check_weights(weights, len(grids))
+    lam = check_weights(weights, len(grids))
     return float(sum(l * w2_distance_1d(g, bary) for l, g in zip(lam, grids)))
 
 

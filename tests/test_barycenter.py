@@ -19,7 +19,7 @@ from wcons import (BadWeights, DimensionMismatch, InvalidInput, LocScatter,
                    fixed_point_barycenter, g_map, gaussian_quantiles,
                    linear_mean, log_euclidean_mean, quantile_barycenter,
                    variance_1d, w2_distance_sq)
-from wcons.barycenter import BarycenterResult, _scatter_step
+from wcons.barycenter import BarycenterResult, _barycenter, _scatter_step
 from wcons.locscatter import _bures_sq
 
 from helpers import (commuting_ensemble, directional_sigmas, gauss, gauss_1d,
@@ -119,6 +119,19 @@ class TestFixedPointBarycenter:
         assert res.iterations == 0
         assert res.residual <= 1e-14
         assert res.variance <= 1e-12
+
+    def test_ill_conditioned_single_member_is_returned(self):
+        # Condition 1e6 at d = 8: the round-off of the plain step keeps its
+        # relative change above tol, so iterating would never stop.  A lone
+        # member is its own barycenter and comes back at step 0.
+        ens = random_ensemble(np.random.default_rng(91), 4, 8,
+                              condition_cap=1e6, equal=True)
+        p = ens.members[3]
+        res = fixed_point_barycenter(WeightedEnsemble.equal_weights((p,)))
+        assert res.iterations == 0
+        assert res.bary.mean.tobytes() == p.mean.tobytes()
+        assert res.bary.cov.entries.tobytes() == p.cov.entries.tobytes()
+        assert 0.0 < res.residual <= 1e-10
 
     def test_isotropic_pair(self):
         # Coordinate-wise 1D: sigma = (1 + 3) / 2 = 2 per direction.
@@ -284,14 +297,12 @@ class TestFixedPointBarycenter:
                                      max_iter=0)
         assert res.iterations == 0
 
-    def test_init_of_other_dimension_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            fixed_point_barycenter(sigma_trio(), init=certify_spd(np.eye(2)))
-
     def test_init_at_solution_converges_immediately(self):
+        # The private start argument is how trimming warm-starts a solve.
         ens = sigma_trio()
         solved = fixed_point_barycenter(ens)
-        again = fixed_point_barycenter(ens, init=solved.bary.cov)
+        again = _barycenter(ens.weights, ens.means(), ens.covs(), 1e-12,
+                            1000, solved.bary.cov.entries)
         assert again.iterations == 0
         np.testing.assert_allclose(again.bary.cov.entries,
                                    solved.bary.cov.entries, rtol=1e-12)

@@ -1,6 +1,7 @@
 """Command-line interface: stdout summaries, JSON and CSV artifacts,
 exit codes, and byte-stable reruns."""
 
+import csv
 import json
 import os
 import subprocess
@@ -278,6 +279,22 @@ class TestEllipse:
             _, x, y = line.split(",")
             assert float(x) ** 2 + float(y) ** 2 == pytest.approx(1.0,
                                                                   abs=1e-12)
+
+    def test_labels_with_commas_and_newlines_are_quoted(self, tmp_path):
+        labels = ["north, 2019", "line\nbreak", 'say "hi"']
+        path = gauss_doc(tmp_path / "labels.json",
+                         [(1.0 / 3.0, [float(i), 0.0], [[1.0, 0.0], [0.0, 1.0]],
+                           label) for i, label in enumerate(labels)])
+        out = tmp_path / "ellipses.csv"
+        assert run_command(["ellipse", path, "--count", "4",
+                            "--out", str(out)]) == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["label", "x", "y"]
+        assert len(rows) == 1 + 3 * 4
+        assert all(len(row) == 3 for row in rows)
+        assert [row[0] for row in rows[1::4]] == labels
+        assert float(rows[1][1]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBary1d:

@@ -264,12 +264,12 @@ class TestOptimalMap:
         m = optimal_map(p, p)
         np.testing.assert_allclose(m.matrix.entries, np.eye(2), atol=1e-10)
         x = np.array([0.3, -0.7])
-        np.testing.assert_allclose(m(x), x, atol=1e-10)
+        np.testing.assert_allclose(m.apply(x), x, atol=1e-10)
 
     def test_one_dimensional_map(self):
         m = optimal_map(gauss_1d(0.0, 1.0), gauss_1d(2.0, 3.0))
         assert m.matrix.entries[0, 0] == pytest.approx(3.0, abs=1e-12)
-        assert m(np.array([1.0]))[0] == pytest.approx(5.0, abs=1e-12)
+        assert m.apply(np.array([1.0]))[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_source_mean_lands_on_target_mean(self):
         gen = np.random.default_rng(28)
@@ -277,7 +277,7 @@ class TestOptimalMap:
             p = random_member(gen, 4)
             q = random_member(gen, 4)
             m = optimal_map(p, q)
-            np.testing.assert_array_equal(m(p.mean), q.mean)
+            np.testing.assert_array_equal(m.apply(p.mean), q.mean)
 
     def test_pushforward_moment_identity(self):
         gen = np.random.default_rng(29)

@@ -14,8 +14,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from wcons import (InvalidInput, LocScatter, RngState, SingularSubset,
-                   brute_force_trimmed, certify_spd, fixed_point_barycenter,
-                   w2_distance_sq)
+                   certify_spd, fixed_point_barycenter, w2_distance_sq)
 from wcons.rng import splitmix64
 from wcons.simulation import (HospitalConfig, _c_step_paths,
                               _hospital_units, _planar_haar, c_step_path,
@@ -121,6 +120,17 @@ class TestRngState:
 
     def test_algorithm_tag(self):
         assert RngState(0).algorithm == "pcg64-splitmix64"
+
+    @pytest.mark.parametrize("seed", [0.9, 2.5, "x", float("nan")])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(InvalidInput, match="seed must be an integer"):
+            RngState(seed)
+
+    def test_numpy_integer_seeds_are_accepted(self):
+        for seed in (np.int32(12), np.int64(12), np.uint64(12)):
+            state = RngState(seed)
+            assert state.seed == 12 and type(state.seed) is int
+        assert RngState(np.int64(-1)).seed == 2 ** 64 - 1
 
 
 class TestRandomSpd:
@@ -685,6 +695,11 @@ class TestHospitalExperiment:
         with pytest.raises(InvalidInput):
             HospitalConfig(alpha_trim=1.0)
 
+    @pytest.mark.parametrize("seed", [0.9, "x", float("nan")])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(InvalidInput, match="seed must be an integer"):
+            HospitalConfig(seed=seed)
+
 
 class TestConsistencyHarness:
     def test_constant_law_gives_zero_distances(self):
@@ -811,14 +826,8 @@ def _cloud():
 # sequence repetition and end in ``TypeError``.
 NON_INTEGER_COUNTS = {
     "TrimConfig.restarts": lambda: TrimConfig(alpha=0.2, restarts=2.5),
-    "TrimConfig.outer_max_iter": lambda: TrimConfig(alpha=0.2,
-                                                    outer_max_iter=2.5),
-    "TrimConfig.inner_max_iter": lambda: TrimConfig(alpha=0.2,
-                                                    inner_max_iter=3.5),
     "fixed_point_barycenter.max_iter": lambda: fixed_point_barycenter(
         _toy(), max_iter=2.5),
-    "brute_force_trimmed.inner_max_iter": lambda: brute_force_trimmed(
-        _toy(), 1.0 / 6.0, inner_max_iter=3.5),
     "HospitalConfig.k": lambda: HospitalConfig(k=3.5),
     "HospitalConfig.n": lambda: HospitalConfig(n=40.5),
     "HospitalConfig.mcd_restarts": lambda: HospitalConfig(mcd_restarts=2.5),
@@ -833,8 +842,6 @@ NON_INTEGER_COUNTS = {
     "estimate_mcd.h": lambda: estimate_mcd(_cloud(), 30.5, 3, RngState(2)),
     "c_step_path.h": lambda: c_step_path(_cloud(), 30.5, np.zeros(2),
                                          np.eye(2)),
-    "c_step_path.max_steps": lambda: c_step_path(
-        _cloud(), 30, np.zeros(2), np.eye(2), max_steps=2.5),
     "gaussian_quantiles.size": lambda: gaussian_quantiles(0.0, 1.0, 64.5),
 }
 
@@ -847,8 +854,7 @@ def test_non_integer_counts_are_rejected(call):
 
 
 def test_numpy_integer_counts_are_accepted():
-    cfg = TrimConfig(alpha=0.2, restarts=np.int64(2),
-                     outer_max_iter=np.int32(50), inner_max_iter=np.int64(500))
+    cfg = TrimConfig(alpha=0.2, restarts=np.int64(2))
     assert trimmed_barycenter(_toy(), cfg).restart_index in (0, 1)
     assert fixed_point_barycenter(_toy(), max_iter=np.int64(500)).iterations > 0
     rep = hospital_experiment(HospitalConfig(
@@ -863,8 +869,7 @@ def test_numpy_integer_sizes_are_accepted():
     plain = estimate_mcd(pts, 30, 3, RngState(2))
     np.testing.assert_array_equal(est.mean, plain.mean)
     np.testing.assert_array_equal(est.cov.entries, plain.cov.entries)
-    *_, history = c_step_path(pts, np.int32(30), np.zeros(2), np.eye(2),
-                              max_steps=np.int64(2))
+    *_, history = c_step_path(pts, np.int32(30), np.zeros(2), np.eye(2))
     assert 1 <= len(history) <= 2
     assert gaussian_quantiles(0.0, 1.0, np.int64(64)).size == 64
     rep = consistency_harness(gaussian_parameter_law(),

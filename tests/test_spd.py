@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from wcons import (InvalidInput, NotPositiveDefinite, SymMatrix, certify_spd,
-                   spd_exp, spd_log, spd_power, sym_eigen)
+                   spd_exp, spd_log, sym_eigen)
 from wcons.spd import pd_floor, sqrt_psd_batch
 
 from helpers import ENVELOPE, planar_psd, random_orthogonal
@@ -124,15 +124,16 @@ class TestCertify:
 
 
 class TestSpdPower:
+    """The powers 1/2 and -1/2: ``sqrt()`` and ``inv_sqrt()``."""
+
     def test_identity(self):
         m = certify_spd(np.eye(4))
-        np.testing.assert_allclose(spd_power(m, 0.5).entries, np.eye(4),
+        np.testing.assert_allclose(m.sqrt(), np.eye(4),
                                    atol=1e-14)
 
     def test_diagonal(self):
         m = certify_spd(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(spd_power(m, 0.5).entries,
-                                   np.diag([2.0, 3.0]), atol=1e-12)
+        np.testing.assert_allclose(m.sqrt(), np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_two_by_two_analytic(self):
         # sqrt applied to the eigenvalues 3 and 1 of [[2,1],[1,2]] gives
@@ -140,10 +141,10 @@ class TestSpdPower:
         r3 = math.sqrt(3.0)
         expect = 0.5 * np.array([[r3 + 1.0, r3 - 1.0], [r3 - 1.0, r3 + 1.0]])
         m = certify_spd([[2.0, 1.0], [1.0, 2.0]])
-        root = spd_power(m, 0.5)
-        np.testing.assert_allclose(root.entries, expect, atol=1e-12)
-        np.testing.assert_allclose(root.entries[0, 0], 1.3660, atol=1e-4)
-        np.testing.assert_allclose(root.entries[0, 1], 0.3660, atol=1e-4)
+        root = m.sqrt()
+        np.testing.assert_allclose(root, expect, atol=1e-12)
+        np.testing.assert_allclose(root[0, 0], 1.3660, atol=1e-4)
+        np.testing.assert_allclose(root[0, 1], 0.3660, atol=1e-4)
 
     def test_square_reconstructs(self):
         gen = np.random.default_rng(12)
@@ -151,7 +152,7 @@ class TestSpdPower:
             dim = int(gen.integers(1, 11))
             a = gen.standard_normal((dim, dim))
             m = certify_spd(a @ a.T + dim * np.eye(dim))
-            root = spd_power(m, 0.5).entries
+            root = m.sqrt()
             err = np.linalg.norm(root @ root - m.entries)
             assert err <= 1e-10 * np.linalg.norm(m.entries)
 
@@ -160,14 +161,8 @@ class TestSpdPower:
         for _ in range(10):
             a = gen.standard_normal((4, 4))
             m = certify_spd(a @ a.T + 4.0 * np.eye(4))
-            prod = spd_power(m, -0.5).entries @ spd_power(m, 0.5).entries
+            prod = m.inv_sqrt() @ m.sqrt()
             np.testing.assert_allclose(prod, np.eye(4), atol=1e-10)
-
-    def test_unsupported_power_rejected(self):
-        m = certify_spd(np.eye(2))
-        for p in (1.0, 2.0, 0.25, -1.0):
-            with pytest.raises(InvalidInput):
-                spd_power(m, p)
 
     def test_commutes_with_orthogonal_conjugation(self):
         gen = np.random.default_rng(14)
@@ -177,8 +172,8 @@ class TestSpdPower:
             m = certify_spd(a @ a.T + dim * np.eye(dim))
             q = random_orthogonal(gen, dim)
             conjugated = certify_spd(q @ m.entries @ q.T)
-            left = spd_power(conjugated, 0.5).entries
-            right = q @ spd_power(m, 0.5).entries @ q.T
+            left = conjugated.sqrt()
+            right = q @ m.sqrt() @ q.T
             assert np.linalg.norm(left - right) <= 1e-10 * np.linalg.norm(left)
 
     def test_diagonal_stays_diagonal(self):
@@ -186,7 +181,7 @@ class TestSpdPower:
         for _ in range(10):
             d = gen.uniform(0.1, 10.0, size=5)
             m = certify_spd(np.diag(d))
-            root = spd_power(m, 0.5).entries
+            root = m.sqrt()
             off = root - np.diag(np.diag(root))
             assert np.abs(off).max() <= 1e-12 * np.linalg.norm(m.entries)
 
@@ -243,7 +238,7 @@ class TestSqrtPsdBatch:
         stack = np.stack(mats)
         roots = sqrt_psd_batch(stack)
         for i, m in enumerate(mats):
-            expect = spd_power(certify_spd(m), 0.5).entries
+            expect = certify_spd(m).sqrt()
             np.testing.assert_allclose(roots[i], expect, atol=1e-10)
 
     def test_accepts_singular_psd(self):

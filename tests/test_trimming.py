@@ -109,16 +109,18 @@ class TestTrimConfig:
         with pytest.raises(InvalidInput):
             TrimConfig(alpha=0.1, restarts=0)
 
-    def test_iteration_budgets_and_tolerance(self):
-        for kwargs in ({"outer_max_iter": 0}, {"inner_max_iter": -1},
-                       {"inner_tol": 0.0}, {"inner_tol": float("nan")},
-                       {"inner_tol": float("inf")}):
-            with pytest.raises(InvalidInput):
-                TrimConfig(alpha=0.2, **kwargs)
+    @pytest.mark.parametrize("seed", [0.9, "x", float("nan")])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(InvalidInput, match="seed must be an integer"):
+            TrimConfig(alpha=0.2, seed=seed)
 
-    def test_smallest_budgets_accepted(self):
-        cfg = TrimConfig(alpha=0.2, outer_max_iter=1, inner_max_iter=0)
-        assert cfg.outer_max_iter == 1 and cfg.inner_max_iter == 0
+    def test_numpy_integer_seed_runs_as_its_value(self):
+        ens = far_outlier_trio()
+        a = trimmed_barycenter(ens, TrimConfig(alpha=0.2, restarts=3,
+                                               seed=np.uint64(7)))
+        b = trimmed_barycenter(ens, TrimConfig(alpha=0.2, restarts=3, seed=7))
+        assert a.bary.cov.entries.tobytes() == b.bary.cov.entries.tobytes()
+        assert a.restart_variances == b.restart_variances
 
 
 class TestTrimmedBarycenter:
@@ -335,10 +337,14 @@ class TestWarmStarts:
         target = np.array([0.0, 0.4, 0.6, 0.0])
         got = trimming._warm_start(solved, target)
         assert got is starts[1]
-        # No earlier solve, or one kept atom: a cold start.
+        # No earlier solve: a cold start.
         assert trimming._warm_start({}, target) is None
-        target = np.array([0.0, 0.0, 1.0, 0.0])
-        assert trimming._warm_start(solved, target) is None
+        # One kept atom starts at its own scatter whatever the warm start.
+        lone = trimming._barycenter(np.ones(1), ens.means()[2:3],
+                                    ens.covs()[2:3], 1e-12, 1000, starts[0])
+        assert lone.iterations == 0
+        assert (lone.bary.cov.entries.tobytes()
+                == ens.members[2].cov.entries.tobytes())
 
     @staticmethod
     def lone_atom_paths(ens):
@@ -353,11 +359,11 @@ class TestWarmStarts:
 
     @pytest.mark.parametrize("dim", [1, 2, 8])
     def test_single_kept_atom_is_its_member(self, dim):
-        # A lone atom starts cold, so its barycenter is its member bit for
-        # bit and its variance the kernel's distance from the member to
-        # itself.
+        # A lone atom is solved at its own scatter, so its barycenter is
+        # its member bit for bit and its variance the kernel's distance
+        # from the member to itself, at any conditioning.
         ens = random_ensemble(np.random.default_rng(83 + dim), 4, dim,
-                              condition_cap=1e3, equal=True)
+                              condition_cap=1e6, equal=True)
         paths, _ = self.lone_atom_paths(ens)
         for center, lam_star, var, _ in paths:
             (i,) = np.flatnonzero(lam_star)
@@ -378,6 +384,19 @@ class TestWarmStarts:
         paths, res = self.lone_atom_paths(ens)
         assert [p[2] for p in paths] == [0.0] * len(paths)
         assert res.trimmed_variance == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ill_conditioned_lone_atom_trim(self, seed):
+        # Member 3 alone does not converge by iterating (condition 1e6 at
+        # d = 8); trimming down to it returns it with zero variance.
+        ens = random_ensemble(np.random.default_rng(91), 4, 8,
+                              condition_cap=1e6, equal=True)
+        res = trimmed_barycenter(ens, TrimConfig(alpha=0.75, restarts=8,
+                                                 seed=seed))
+        assert res.trimmed_variance == 0.0
+        (i,) = np.flatnonzero(res.active_weights)
+        assert (res.bary.cov.entries.tobytes()
+                == ens.members[i].cov.entries.tobytes())
 
     def test_wide_grid_inner_step_count(self, monkeypatch):
         # Summed inner steps of one trimmed call per ensemble of the
@@ -485,14 +504,6 @@ class TestBruteForce:
         plain = fixed_point_barycenter(ens)
         assert res.trimmed_variance == pytest.approx(plain.variance,
                                                      rel=1e-10)
-
-    def test_bad_inner_budget_rejected(self):
-        with pytest.raises(InvalidInput):
-            brute_force_trimmed(far_outlier_trio(), 1.0 / 3.0,
-                                inner_max_iter=-1)
-        with pytest.raises(InvalidInput):
-            brute_force_trimmed(far_outlier_trio(), 1.0 / 3.0,
-                                inner_tol=float("nan"))
 
     def test_far_outlier_keeps_near_pair(self):
         res = brute_force_trimmed(far_outlier_trio(), 1.0 / 3.0)
