@@ -14,6 +14,14 @@ definite start.  The weighted average of the member S_j is the default
 starting point; the trimming search starts each new kept set from the
 scatter of the nearest one it has solved.
 
+At d = 2 a step is one weighted sum (Bhatia, Jain & Lim, arXiv:1712.01504).
+A 2 x 2 PSD M has M^{1/2} = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)),
+so with R = S^{1/2}, s_j = sqrt(det S det S_j) and t_j = sqrt(tr(S S_j) +
+2 s_j), the planar Bures cross terms that a solve's variance reuses,
+sum_j lam_j (R S_j R)^{1/2} = R A R + sigma I with A = sum_j (lam_j / t_j)
+S_j and sigma = sum_j lam_j s_j / t_j; the next iterate is A S A +
+2 sigma A + sigma^2 S^{-1}.
+
 The iteration converges linearly, so the solver accelerates it with type-II
 Anderson mixing (Walker & Ni 2011): each plain step G(S) is corrected by the
 combination of the last ``ANDERSON_DEPTH`` steps (at most d (d + 1) / 2)
@@ -34,9 +42,9 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InvalidInput, MaxIterationsExceeded,
                      NotPositiveDefinite, check_count, check_weights)
-from .locscatter import LocScatter, _bures_sq
-from .spd import (SpdMatrix, SymMatrix, certify_spd, spd_exp, spd_log,
-                  sqrt_psd_batch)
+from .locscatter import LocScatter, _bures_sq, _planar_cross, _planar_stack
+from .spd import (SpdMatrix, SymMatrix, _rebuild, certify_spd, spd_exp,
+                  spd_log, sqrt_psd_batch)
 
 __all__ = [
     "WeightedEnsemble",
@@ -52,6 +60,7 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1000
 # Number of earlier steps the Anderson extrapolation mixes.
 ANDERSON_DEPTH = 8
+_EYE2 = np.eye(2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,17 +122,29 @@ class BarycenterResult:
     variance: float
 
 
-def _scatter_step(spd: SpdMatrix, covs: np.ndarray,
-                  lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scatter_step(spd: SpdMatrix, covs: np.ndarray, lam: np.ndarray,
+                  planar):
     """One step of the scatter iteration from ``spd``; returns the weighted
-    mean of the transported roots and the next iterate."""
+    mean of the transported roots, the next iterate and, at d = 2 with
+    ``planar = _planar_stack(covs)``, the cross terms ``2 t_j`` (else None)."""
+    if planar is not None:
+        root_det, t = _planar_cross(spd, planar)
+        w = lam / t
+        a = (w @ planar[0]).reshape(2, 2)
+        sigma = float(w @ root_det)
+        r1, r2 = np.sqrt(spd.eigenvalues).tolist()
+        root = (spd.entries + r1 * r2 * _EYE2) / (r1 + r2)
+        mixed = root @ a @ root + sigma * _EYE2
+        inv = _rebuild(spd.eigenvectors, 1.0 / spd.eigenvalues)
+        s_next = a @ spd.entries @ a + 2.0 * sigma * a + sigma * sigma * inv
+        return 0.5 * (mixed + mixed.T), 0.5 * (s_next + s_next.T), 2.0 * t
     root = spd.sqrt()
     inv_root = spd.inv_sqrt()
     inner = root @ covs @ root
     mixed = np.einsum("k,kij->ij", lam, sqrt_psd_batch(inner))
     mixed = 0.5 * (mixed + mixed.T)
     s_next = inv_root @ (mixed @ mixed) @ inv_root
-    return mixed, 0.5 * (s_next + s_next.T)
+    return mixed, 0.5 * (s_next + s_next.T), None
 
 
 def _extrapolate(s_next: np.ndarray, f: np.ndarray, dg: np.ndarray,
@@ -157,6 +178,7 @@ def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
     else:
         s = start
     d = s.shape[0]
+    planar = _planar_stack(covs)
     # Differences of symmetric matrices span d (d + 1) / 2 dimensions; more
     # pairs than that would make the Gram matrix singular.
     depth = min(ANDERSON_DEPTH, d * (d + 1) // 2)
@@ -168,7 +190,7 @@ def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
     for step in range(max_iter + 1):
         if spd is None:
             spd = certify_spd(s)
-        mixed, s_next = _scatter_step(spd, covs, lam)
+        mixed, s_next, cross = _scatter_step(spd, covs, lam, planar)
         norm_s = np.linalg.norm(s)
         residual = np.linalg.norm(mixed - s) / norm_s
         change = np.linalg.norm(s_next - s) / norm_s
@@ -176,7 +198,7 @@ def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
             bary = LocScatter(lam @ means, spd)
             return BarycenterResult(
                 bary=bary, iterations=step, residual=float(residual),
-                variance=float(lam @ _bures_sq(bary, means, covs)))
+                variance=float(lam @ _bures_sq(bary, means, covs, cross)))
         g = s_next.ravel()
         f = g - s.ravel()
         if last is not None:
@@ -236,7 +258,8 @@ def g_map(ens: WeightedEnsemble, eta: LocScatter) -> LocScatter:
     if eta.dim != ens.dim:
         raise DimensionMismatch(f"reference has dimension {eta.dim}, "
                                 f"ensemble {ens.dim}")
-    _, cov = _scatter_step(eta.cov, ens.covs(), ens.weights)
+    covs = ens.covs()
+    _, cov, _ = _scatter_step(eta.cov, covs, ens.weights, _planar_stack(covs))
     return LocScatter(ens.weights @ ens.means(), certify_spd(cov))
 
 

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the input rules that
 several modules apply: counts, trimming levels and weight vectors."""
 
+import numbers
 import operator
 
 import numpy as np
@@ -23,10 +24,10 @@ def check_count(value, name: str, minimum: int) -> None:
 
 
 def check_alpha(value, name: str = "alpha") -> None:
-    """Raise :class:`InvalidInput` unless ``value`` is a trimming level in
-    [0, 1)."""
-    if not 0.0 <= value < 1.0:
-        raise InvalidInput(f"{name} must lie in [0, 1), got {value}")
+    """Raise :class:`InvalidInput` unless ``value`` is a real trimming level
+    in [0, 1)."""
+    if not (isinstance(value, numbers.Real) and 0.0 <= value < 1.0):
+        raise InvalidInput(f"{name} must lie in [0, 1), got {value!r}")
 
 
 def check_weights(weights, count: int) -> np.ndarray:

@@ -47,15 +47,14 @@ class LocScatter:
     cov: SpdMatrix
 
     def __post_init__(self):
-        m = np.asarray(self.mean, dtype=float)
+        m = np.array(self.mean, dtype=float)
         if m.ndim != 1:
             raise InvalidInput(f"mean must be a vector, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise InvalidInput("mean has non-finite entries")
         if m.shape[0] != self.cov.dim:
             raise DimensionMismatch(
                 f"mean has dimension {m.shape[0]}, scatter {self.cov.dim}")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "mean", m)
 
@@ -82,19 +81,32 @@ class AffineMap:
         return self.target_mean + (x - self.source_mean) @ self.matrix.entries
 
 
-def _bures_sq(center: LocScatter, means: np.ndarray,
-              covs: np.ndarray) -> np.ndarray:
+def _planar_stack(covs: np.ndarray):
+    """Rows ``(a, b, b, c)`` of 2 x 2 scatters, determinants; None off d = 2."""
+    if covs.shape[-1] != 2:
+        return None
+    flat = covs.reshape(-1, 4)
+    return flat, flat[:, 0] * flat[:, 3] - flat[:, 2] * flat[:, 2]
+
+
+def _planar_cross(spd: SpdMatrix, planar) -> tuple[np.ndarray, np.ndarray]:
+    """``s_j = sqrt(det S det S_j)`` and ``t_j = sqrt(tr(S S_j) + 2 s_j)`` =
+    ``tr((S^{1/2} S_j S^{1/2})^{1/2})`` for ``planar = _planar_stack(covs)``."""
+    flat, dets = planar
+    l1, l2 = spd.eigenvalues.tolist()
+    root_det = np.sqrt(np.maximum((l1 * l2) * dets, 0.0))
+    return root_det, np.sqrt(flat @ spd.entries.ravel() + 2.0 * root_det)
+
+
+def _bures_sq(center: LocScatter, means: np.ndarray, covs: np.ndarray,
+              cross: np.ndarray | None = None) -> np.ndarray:
     """Squared distances from ``center`` to the stacked members
-    ``means (k, d)``, ``covs (k, d, d)``, with round-off clamped as in
-    :func:`w2_distance_sq`."""
+    ``means (k, d)``, ``covs (k, d, d)``, clamped as in :func:`w2_distance_sq`;
+    ``cross``, the terms ``2 tr((S^{1/2} S_j S^{1/2})^{1/2})``, if known."""
     check_same_dim(center.dim, means.shape[1], covs.shape[2])
-    if center.dim == 2:
-        s = center.cov.entries
-        a, b, c = covs[:, 0, 0], covs[:, 1, 0], covs[:, 1, 1]
-        dets = (s[0, 0] * s[1, 1] - s[1, 0] * s[1, 0]) * (a * c - b * b)
-        cross = 2.0 * np.sqrt(s[0, 0] * a + 2.0 * s[1, 0] * b + s[1, 1] * c
-                              + 2.0 * np.sqrt(np.maximum(dets, 0.0)))
-    else:
+    if cross is None and center.dim == 2:
+        cross = 2.0 * _planar_cross(center.cov, _planar_stack(covs))[1]
+    elif cross is None:
         root = center.cov.sqrt()
         inner = root @ covs @ root
         inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))

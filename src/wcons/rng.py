@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_count
 
 __all__ = ["RngState", "splitmix64"]
 
@@ -60,7 +60,6 @@ class RngState:
         result mixed again; without the first mixing step, nearby root
         seeds would merely permute each other's task streams.
         """
-        if index < 0:
-            raise ValueError("split index must be nonnegative")
-        mixed = splitmix64(self.seed) ^ (int(index) & _MASK64)
+        check_count(index, "split index", 0)
+        mixed = splitmix64(self.seed) ^ (operator.index(index) & _MASK64)
         return RngState(splitmix64(mixed))

@@ -37,22 +37,9 @@ __all__ = [
 ]
 
 
-def _as_square(entries) -> np.ndarray:
-    a = np.asarray(entries, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 # LAPACK's dlamch('E') and dlamch('S'): the split test of dsteqr.
 _EPS = 2.0 ** -53
 _SAFMIN = 2.0 ** -1022
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """Mark a fresh array read-only and return it."""
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,10 +54,13 @@ class SymMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = _as_square(self.entries)
+        a = np.asarray(self.entries, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+            raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
         s = np.add(a, a.T, order="C")
         s *= 0.5
-        object.__setattr__(self, "entries", _frozen(s))
+        s.setflags(write=False)
+        object.__setattr__(self, "entries", s)
 
     @property
     def dim(self) -> int:
@@ -212,10 +202,10 @@ def certify_spd(m: SymMatrix | np.ndarray) -> SpdMatrix:
     if smallest <= pd_floor(values):
         raise NotPositiveDefinite(
             f"smallest eigenvalue {smallest:.6g} is not safely positive",
-            min_eigenvalue=smallest,
-        )
-    return SpdMatrix(base=m, min_eigenvalue=smallest,
-                     eigenvalues=_frozen(w), eigenvectors=_frozen(v))
+            min_eigenvalue=smallest)
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return SpdMatrix(m, smallest, w, v)
 
 
 def spd_log(m: SpdMatrix) -> SymMatrix:
@@ -234,44 +224,18 @@ def sqrt_psd_batch(mats: np.ndarray) -> np.ndarray:
 
     Shape ``(k, d, d)`` in, same shape out; only the lower triangle is read.
     Tiny negative eigenvalues from round-off are clamped to zero; genuinely
-    negative spectra raise.  At d = 2 the roots are closed-form: with
-    ``s = sqrt(det M)`` and ``t = sqrt(tr M + 2 s)``, the root of a PSD
-    ``M`` is ``(M + s I) / t``.  A negative eigenvalue that passes the
-    round-off test moves that root by its size over ``t`` instead of being
-    clamped, and a matrix with ``t = 0`` maps to zero.
+    negative spectra raise.
     """
-    if mats.shape[-1] == 2:
-        a, b, c = mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
-        half = 0.5 * (a + c)
-        rad = np.hypot(0.5 * (a - c), b)
-        low = half - rad
-        if np.any(low < -1e-10 * np.maximum(1.0, half + rad)):
-            raise NotPositiveDefinite(
-                "batch member is not positive semidefinite",
-                min_eigenvalue=float(low.min()),
-            )
-        s = np.sqrt(np.maximum(a * c - b * b, 0.0))
-        t = np.sqrt(np.maximum(a + c + 2.0 * s, 0.0))
-        t[t == 0.0] = np.inf
-        r = np.empty(mats.shape)
-        r[:, 0, 0] = (a + s) / t
-        r[:, 1, 1] = (c + s) / t
-        r[:, 0, 1] = r[:, 1, 0] = b / t
-        return r
     w, v = np.linalg.eigh(mats)
     tol = -1e-10 * np.maximum(1.0, w[:, -1])
     if np.any(w[:, 0] < tol):
-        raise NotPositiveDefinite(
-            "batch member is not positive semidefinite",
-            min_eigenvalue=float(w[:, 0].min()),
-        )
+        raise NotPositiveDefinite("batch member is not positive semidefinite",
+                                  min_eigenvalue=float(w[:, 0].min()))
     r = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ np.swapaxes(v, -1, -2)
     return 0.5 * (r + np.swapaxes(r, -1, -2))
 
 
 def check_same_dim(*dims: int) -> int:
-    first = dims[0]
-    for d in dims[1:]:
-        if d != first:
-            raise DimensionMismatch(f"dimension mismatch: {dims}")
-    return first
+    if len(set(dims)) != 1:
+        raise DimensionMismatch(f"dimension mismatch: {dims}")
+    return dims[0]

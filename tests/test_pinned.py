@@ -39,6 +39,17 @@ stayed equal, and only the ill-conditioned fixed point's iteration count
 changed (27 to 23).  The brute-force toy, ``g_map`` and general-dimension
 digests did not move.
 
+The law trim, brute-force and harness digests were re-pinned a fifth
+time when the planar scatter step became one weighted sum over the
+members, R A R + sigma I with the next iterate A S A + 2 sigma A +
+sigma^2 S^{-1}, and a solve's variance began reusing the step's cross
+terms: against commit 091c027 each float array pinned below moved by at
+most 2.5e-15 relative to its largest entry (each harness row entry by at
+most 4.7e-15 relative to itself), and every kept-weight vector, restart
+index and outer-iteration count stayed equal, as did the inner-step
+counts.  The ill-conditioned, ``g_map`` and general-dimension digests did
+not move.
+
 Every digest here was computed with numpy 2.4.6 on OpenBLAS 0.3.31
 (scipy-openblas, Python 3.11); another BLAS build can round differently.
 """
@@ -147,9 +158,11 @@ def test_trimmed_law_ensemble_is_pinned():
     # restart variances 2.6e-15 relative.
     # Cold inner solves, history 4: 72100eb0...3d004668; scatter moved
     # 1.5e-15 and restart variances 2.3e-15 relative.
+    # Per-member roots: 92800c07...8d4f5abf; scatter moved 1.7e-15 and
+    # the variance history 2.5e-15 relative.
     assert law_trim_digest() == (
-        "92800c076b8685c968e0f756cba67c73"
-        "c755dd1c67b29ff70cb8b7bc8d4f5abf")
+        "4bfd27a8c3a8c8b744bc730869ddc9f6"
+        "6e920550341aa21b239464a2289affd4")
 
 
 def test_ill_conditioned_barycenters_are_pinned():
@@ -173,9 +186,11 @@ def test_brute_force_toy_is_pinned():
     # Plain iteration: 2576c3c5...5df138; scatter moved 7.9e-13 relative.
     # General-d kernels: adcaf316...24414a40; scatter moved 4.5e-16
     # relative.
+    # Per-member roots: 6de2abfd...d993dfaf; scatter moved 7.5e-16 and
+    # the variances 1.6e-16 relative.
     assert brute_force_digest() == (
-        "6de2abfd9cc057a409aee37ba7772798"
-        "182fa7b3f44b39aef896a935d993dfaf")
+        "2fb9c4a78c3bef445e3170f67e1560fd"
+        "f8e55c07672e983cc96b00501d83dd8d")
 
 
 def test_consistency_harness_is_pinned():
@@ -186,9 +201,11 @@ def test_consistency_harness_is_pinned():
     # Cold inner solves, history 4: 6bd82db7...0f69b8f4; reference
     # scatter moved 1.9e-13 and rows 1.3e-13 relative (3.4e-13 entry by
     # entry).
+    # Per-member roots: 620bfc78...ecde2b8e; reference scatter moved
+    # 3.4e-16 and rows 1.9e-15 relative (4.7e-15 entry by entry).
     assert harness_digest() == (
-        "620bfc7878070c589f13b157ea2799c8"
-        "f4bfc66b5db091d672c7ac91ecde2b8e")
+        "75571bb846da5478ac24d1e68fd1d3ba"
+        "3631f8d85ff448f46821368acc9460ec")
 
 
 def test_general_dimension_draws_are_pinned():

@@ -271,8 +271,9 @@ def eigh_sqrt_batch(mats):
 
 
 class TestPlanarSqrtPsdBatch:
-    """The closed form (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M))
-    against the eigenvalue route, within 1e-12 of sqrt(largest eig)."""
+    """The batched eigenvalue route at d = 2, which the scatter step no
+    longer takes (its planar closed form was removed), against the
+    per-matrix eigh reference, within 1e-12 of sqrt(largest eig)."""
 
     @ENVELOPE
     @given(st.lists(st.tuples(SCALE_EXP, COND_EXP, ANGLE), min_size=1,

@@ -105,6 +105,19 @@ class TestTrimConfig:
             with pytest.raises(InvalidInput):
                 TrimConfig(alpha=alpha)
 
+    @pytest.mark.parametrize("alpha", ["0.2", None, 0.2j, np.complex128(0.2)])
+    def test_alpha_must_be_real(self, alpha):
+        with pytest.raises(InvalidInput, match="alpha must lie in"):
+            TrimConfig(alpha=alpha)
+        with pytest.raises(InvalidInput, match="alpha must lie in"):
+            trim_weights([1.0, 2.0], [0.5, 0.5], alpha)
+
+    def test_numpy_real_alpha_runs_as_its_value(self):
+        ens = far_outlier_trio()
+        a = trimmed_barycenter(ens, TrimConfig(alpha=np.float32(0.25)))
+        b = trimmed_barycenter(ens, TrimConfig(alpha=float(np.float32(0.25))))
+        assert a.bary.cov.entries.tobytes() == b.bary.cov.entries.tobytes()
+
     def test_restart_count(self):
         with pytest.raises(InvalidInput):
             TrimConfig(alpha=0.1, restarts=0)
