@@ -17,10 +17,9 @@ scatter of the nearest one it has solved.
 At d = 2 a step is one weighted sum (Bhatia, Jain & Lim, arXiv:1712.01504).
 A 2 x 2 PSD M has M^{1/2} = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)),
 so with R = S^{1/2}, s_j = sqrt(det S det S_j) and t_j = sqrt(tr(S S_j) +
-2 s_j), the planar Bures cross terms that a solve's variance reuses,
-sum_j lam_j (R S_j R)^{1/2} = R A R + sigma I with A = sum_j (lam_j / t_j)
-S_j and sigma = sum_j lam_j s_j / t_j; the next iterate is A S A +
-2 sigma A + sigma^2 S^{-1}.
+2 s_j), the planar Bures cross terms, sum_j lam_j (R S_j R)^{1/2} = R A R
++ sigma I with A = sum_j (lam_j / t_j) S_j and sigma = sum_j lam_j s_j /
+t_j; the next iterate is A S A + 2 sigma A + sigma^2 S^{-1}.
 
 The iteration converges linearly, so the solver accelerates it with type-II
 Anderson mixing (Walker & Ni 2011): each plain step G(S) is corrected by the
@@ -40,8 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InvalidInput, MaxIterationsExceeded,
-                     NotPositiveDefinite, check_count, check_weights)
+from .errors import (DimensionMismatch, MaxIterationsExceeded,
+                     NotPositiveDefinite, check_count, check_positive,
+                     check_weights)
 from .locscatter import LocScatter, _bures_sq, _planar_cross, _planar_stack
 from .spd import (SpdMatrix, SymMatrix, _rebuild, certify_spd, spd_exp,
                   spd_log, sqrt_psd_batch)
@@ -124,9 +124,9 @@ class BarycenterResult:
 
 def _scatter_step(spd: SpdMatrix, covs: np.ndarray, lam: np.ndarray,
                   planar):
-    """One step of the scatter iteration from ``spd``; returns the weighted
-    mean of the transported roots, the next iterate and, at d = 2 with
-    ``planar = _planar_stack(covs)``, the cross terms ``2 t_j`` (else None)."""
+    """One step of the scatter iteration from ``spd``, in closed form at
+    d = 2 with ``planar = _planar_stack(covs)`` (else None); returns the
+    weighted mean of the transported roots and the next iterate."""
     if planar is not None:
         root_det, t = _planar_cross(spd, planar)
         w = lam / t
@@ -137,14 +137,14 @@ def _scatter_step(spd: SpdMatrix, covs: np.ndarray, lam: np.ndarray,
         mixed = root @ a @ root + sigma * _EYE2
         inv = _rebuild(spd.eigenvectors, 1.0 / spd.eigenvalues)
         s_next = a @ spd.entries @ a + 2.0 * sigma * a + sigma * sigma * inv
-        return 0.5 * (mixed + mixed.T), 0.5 * (s_next + s_next.T), 2.0 * t
+        return 0.5 * (mixed + mixed.T), 0.5 * (s_next + s_next.T)
     root = spd.sqrt()
     inv_root = spd.inv_sqrt()
     inner = root @ covs @ root
     mixed = np.einsum("k,kij->ij", lam, sqrt_psd_batch(inner))
     mixed = 0.5 * (mixed + mixed.T)
     s_next = inv_root @ (mixed @ mixed) @ inv_root
-    return mixed, 0.5 * (s_next + s_next.T), None
+    return mixed, 0.5 * (s_next + s_next.T)
 
 
 def _extrapolate(s_next: np.ndarray, f: np.ndarray, dg: np.ndarray,
@@ -190,7 +190,7 @@ def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
     for step in range(max_iter + 1):
         if spd is None:
             spd = certify_spd(s)
-        mixed, s_next, cross = _scatter_step(spd, covs, lam, planar)
+        mixed, s_next = _scatter_step(spd, covs, lam, planar)
         norm_s = np.linalg.norm(s)
         residual = np.linalg.norm(mixed - s) / norm_s
         change = np.linalg.norm(s_next - s) / norm_s
@@ -198,7 +198,7 @@ def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
             bary = LocScatter(lam @ means, spd)
             return BarycenterResult(
                 bary=bary, iterations=step, residual=float(residual),
-                variance=float(lam @ _bures_sq(bary, means, covs, cross)))
+                variance=float(lam @ _bures_sq(bary, means, covs)))
         g = s_next.ravel()
         f = g - s.ravel()
         if last is not None:
@@ -241,8 +241,7 @@ def fixed_point_barycenter(ens: WeightedEnsemble, tol: float = DEFAULT_TOL,
     The reported variance is the weighted sum of squared distances from
     the members to the barycenter.
     """
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise InvalidInput(f"tol must be finite and positive, got {tol!r}")
+    check_positive(tol, "tol")
     check_count(max_iter, "max_iter", 0)
     return _barycenter(ens.weights, ens.means(), ens.covs(), tol, max_iter)
 
@@ -259,7 +258,7 @@ def g_map(ens: WeightedEnsemble, eta: LocScatter) -> LocScatter:
         raise DimensionMismatch(f"reference has dimension {eta.dim}, "
                                 f"ensemble {ens.dim}")
     covs = ens.covs()
-    _, cov, _ = _scatter_step(eta.cov, covs, ens.weights, _planar_stack(covs))
+    _, cov = _scatter_step(eta.cov, covs, ens.weights, _planar_stack(covs))
     return LocScatter(ens.weights @ ens.means(), certify_spd(cov))
 
 

@@ -96,7 +96,7 @@ def _parse_entry(index: int, obj) -> tuple[float, LocScatter, str | None]:
     if skew > _SYM_TOL * max(1.0, np.abs(cov).max()):
         raise _entry_error(index, f"cov is asymmetric (max skew {skew:.3g})")
     try:
-        spd = certify_spd(0.5 * (cov + cov.T))
+        spd = certify_spd(cov)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(
             f"distributions[{index}]: cov is not positive definite "

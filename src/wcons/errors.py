@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the input rules that
-several modules apply: counts, trimming levels and weight vectors."""
+several modules apply: counts, trimming levels, positive scalars and weight
+vectors."""
 
+import math
 import numbers
 import operator
 
@@ -28,6 +30,13 @@ def check_alpha(value, name: str = "alpha") -> None:
     in [0, 1)."""
     if not (isinstance(value, numbers.Real) and 0.0 <= value < 1.0):
         raise InvalidInput(f"{name} must lie in [0, 1), got {value!r}")
+
+
+def check_positive(value, name: str) -> None:
+    """Raise :class:`InvalidInput` unless ``value`` is a finite real > 0."""
+    if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+        raise InvalidInput(
+            f"{name} must be finite and positive, got {value!r}")
 
 
 def check_weights(weights, count: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput
+from .errors import DimensionMismatch, InvalidInput, check_positive
 from .spd import SpdMatrix, certify_spd, check_same_dim
 
 __all__ = [
@@ -98,23 +98,26 @@ def _planar_cross(spd: SpdMatrix, planar) -> tuple[np.ndarray, np.ndarray]:
     return root_det, np.sqrt(flat @ spd.entries.ravel() + 2.0 * root_det)
 
 
-def _bures_sq(center: LocScatter, means: np.ndarray, covs: np.ndarray,
-              cross: np.ndarray | None = None) -> np.ndarray:
+def _bures_sq(center: LocScatter, means: np.ndarray,
+              covs: np.ndarray) -> np.ndarray:
     """Squared distances from ``center`` to the stacked members
-    ``means (k, d)``, ``covs (k, d, d)``, clamped as in :func:`w2_distance_sq`;
-    ``cross``, the terms ``2 tr((S^{1/2} S_j S^{1/2})^{1/2})``, if known."""
+    ``means (k, d)``, ``covs (k, d, d)``, clamped as in :func:`w2_distance_sq`.
+    Raises ``ArithmeticError`` when a distance is not finite (it overflowed)."""
     check_same_dim(center.dim, means.shape[1], covs.shape[2])
-    if cross is None and center.dim == 2:
-        cross = 2.0 * _planar_cross(center.cov, _planar_stack(covs))[1]
-    elif cross is None:
-        root = center.cov.sqrt()
-        inner = root @ covs @ root
-        inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
-        w = np.linalg.eigvalsh(inner)
-        cross = 2.0 * np.sqrt(np.maximum(w, 0.0)).sum(axis=1)
-    gaps = ((means - center.mean) ** 2).sum(axis=1)
-    traces = np.trace(covs, axis1=1, axis2=2) + center.cov.trace()
-    out = gaps + traces - cross
+    with np.errstate(over="ignore", invalid="ignore"):
+        if center.dim == 2:
+            cross = 2.0 * _planar_cross(center.cov, _planar_stack(covs))[1]
+        else:
+            root = center.cov.sqrt()
+            inner = root @ covs @ root
+            inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
+            w = np.linalg.eigvalsh(inner)
+            cross = 2.0 * np.sqrt(np.maximum(w, 0.0)).sum(axis=1)
+        gaps = ((means - center.mean) ** 2).sum(axis=1)
+        traces = np.trace(covs, axis1=1, axis2=2) + center.cov.trace()
+        out = gaps + traces - cross
+    if not np.isfinite(out).all():
+        raise ArithmeticError("squared distance is not finite")
     scale = np.maximum(traces + gaps, 1e-300)
     bad = out < -1e-10 * scale
     if center.dim != 2:
@@ -185,8 +188,7 @@ def similarity_pushforward(p: LocScatter, scale: float,
     ``rotation`` must be orthogonal; the scatter becomes
     scale^2 * R S R^T and the mean scale * R m + shift.
     """
-    if scale <= 0.0:
-        raise InvalidInput("similarity scale must be positive")
+    check_positive(scale, "similarity scale")
     r = np.asarray(rotation, dtype=float)
     mean = scale * (r @ p.mean) + np.asarray(shift, dtype=float)
     cov = (scale * scale) * (r @ p.cov.entries @ r.T)

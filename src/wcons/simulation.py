@@ -20,7 +20,8 @@ import numpy as np
 
 from .barycenter import (WeightedEnsemble, fixed_point_barycenter,
                          linear_mean)
-from .errors import InvalidInput, SingularSubset, check_alpha, check_count
+from .errors import (InvalidInput, SingularSubset, check_alpha, check_count,
+                     check_positive)
 from .locscatter import LocScatter, w2_distance_sq
 from .rng import RngState
 from .spd import SpdMatrix, certify_spd
@@ -69,6 +70,15 @@ def _planar_haar(x: np.ndarray):
     return np.array([[a / h, -s * c / h], [c / h, s * a / h]])
 
 
+def _half_log_cap(dim: int, condition_cap: float) -> float:
+    """Check the arguments of :func:`random_spd`; half the log of the cap."""
+    check_count(dim, "dim", 1)
+    if not (math.isfinite(condition_cap) and condition_cap >= 1.0):
+        raise InvalidInput("condition cap must be finite and at least 1, "
+                           f"got {condition_cap!r}")
+    return 0.5 * np.log(condition_cap)
+
+
 def random_spd(dim: int, condition_cap: float, rng) -> SpdMatrix:
     """Random positive definite matrix with condition number <= cap.
 
@@ -77,12 +87,12 @@ def random_spd(dim: int, condition_cap: float, rng) -> SpdMatrix:
     construction.  The eigenbasis is the Q factor, with ``diag(R) >= 0``,
     of a standard normal draw; at d = 2 it is built in closed form.
     """
-    check_count(dim, "dim", 1)
-    if not (math.isfinite(condition_cap) and condition_cap >= 1.0):
-        raise InvalidInput("condition cap must be finite and at least 1, "
-                           f"got {condition_cap!r}")
-    gen = _generator(rng)
-    half = 0.5 * np.log(condition_cap)
+    half = _half_log_cap(dim, condition_cap)
+    return _spd_draw(dim, half, _generator(rng))
+
+
+def _spd_draw(dim: int, half: float, gen: np.random.Generator) -> SpdMatrix:
+    """The draw of :func:`random_spd`, ``half`` from :func:`_half_log_cap`."""
     eigs = np.exp(gen.uniform(-half, half, size=dim))
     x = gen.standard_normal((dim, dim))
     q = _planar_haar(x) if dim == 2 else None
@@ -183,6 +193,23 @@ def _c_step_paths(clouds: np.ndarray, owner: np.ndarray, h: int,
     return means, covs, supports, history, steps, failed
 
 
+def _finite(value, name: str) -> np.ndarray:
+    """``value`` as a float array, or :class:`InvalidInput` naming it unless
+    every entry is finite."""
+    a = np.asarray(value, dtype=float)
+    if not np.isfinite(a).all():
+        raise InvalidInput(f"{name} has non-finite entries")
+    return a
+
+
+def _points(points) -> np.ndarray:
+    """``points`` as a finite ``(n, d)`` float array."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise InvalidInput(f"points must be (n, d), got shape {pts.shape}")
+    return _finite(pts, "points")
+
+
 def c_step_path(points: np.ndarray, h: int, mean: np.ndarray,
                 cov: np.ndarray):
     """Concentration steps from an initial fit until the support repeats.
@@ -193,15 +220,13 @@ def c_step_path(points: np.ndarray, h: int, mean: np.ndarray,
     the path, which stops after at most 100 refits.  Returns ``(mean, cov,
     support, logdet_history)``.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise InvalidInput(f"points must be (n, d), got shape {pts.shape}")
+    pts = _points(points)
     check_count(h, "h", 1)
     if not h <= pts.shape[0]:
         raise InvalidInput(f"need 1 <= h <= n, got h={h}, n={pts.shape[0]}")
     means, covs, supports, history, steps, failed = _c_step_paths(
-        pts[None], np.zeros(1, dtype=np.intp), h, np.asarray(mean)[None],
-        np.asarray(cov)[None])
+        pts[None], np.zeros(1, dtype=np.intp), h,
+        _finite(mean, "mean")[None], _finite(cov, "cov")[None])
     if failed[0]:
         raise SingularSubset("concentration path hit a singular covariance")
     support = supports[0] if steps[0] else None
@@ -209,8 +234,9 @@ def c_step_path(points: np.ndarray, h: int, mean: np.ndarray,
 
 
 def _mcd_fits(clouds: np.ndarray, h: int, restarts: int,
-              gens: list[np.random.Generator]) -> list[LocScatter]:
-    """Raw MCD fits of the clouds ``(u, n, d)``.
+              gens: list[np.random.Generator]):
+    """Raw MCD fits of the clouds ``(u, n, d)``: means ``(u, d)`` and
+    covariances ``(u, d, d)``, symmetrized as :class:`SymMatrix` does.
 
     Cloud ``i`` draws ``restarts`` random (d+1)-point start subsets in order
     from ``gens[i]``, and the paths of all clouds step together.  Only
@@ -248,13 +274,9 @@ def _mcd_fits(clouds: np.ndarray, h: int, restarts: int,
                 best_logdet[i], best_mean[i], best_cov[i] = (
                     logdet, means[p], covs[p])
             needed[i] -= 1
-    fits = []
-    for i in range(u):
-        if needed[i] > 0:
-            raise SingularSubset(
-                f"no nonsingular fit in {10 * restarts} attempts")
-        fits.append(LocScatter(best_mean[i], certify_spd(best_cov[i])))
-    return fits
+    if np.any(needed > 0):
+        raise SingularSubset(f"no nonsingular fit in {10 * restarts} attempts")
+    return best_mean, 0.5 * (best_cov + np.swapaxes(best_cov, 1, 2))
 
 
 def estimate_mcd(points: np.ndarray, h: int, restarts: int, rng) -> LocScatter:
@@ -266,10 +288,9 @@ def estimate_mcd(points: np.ndarray, h: int, restarts: int, rng) -> LocScatter:
     attempts.  No consistency correction is applied: the raw h-subset
     maximum-likelihood covariance is returned.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise InvalidInput(f"points must be (n, d), got shape {pts.shape}")
-    return _mcd_fits(pts[None], h, restarts, [_generator(rng)])[0]
+    means, covs = _mcd_fits(_points(points)[None], h, restarts,
+                            [_generator(rng)])
+    return LocScatter(means[0], certify_spd(covs[0]))
 
 
 @dataclass(frozen=True)
@@ -295,8 +316,8 @@ class HospitalConfig:
             check_count(getattr(self, name), name, 1)
         if self.contamination_beta is not None:
             a, b = self.contamination_beta
-            if a <= 0.0 or b <= 0.0:
-                raise InvalidInput("Beta parameters must be positive")
+            check_positive(a, "Beta parameter a")
+            check_positive(b, "Beta parameter b")
         if not 0.0 < self.mcd_fraction <= 1.0:
             raise InvalidInput("mcd_fraction must lie in (0, 1]")
         check_alpha(self.alpha_trim, "alpha_trim")
@@ -377,12 +398,6 @@ def mcd_consistency_factor(coverage: float, dim: int) -> float:
     return 1.0 - drop if drop <= 0.5 else drop * _gamma_series(a, y)
 
 
-def _sample_member(p: LocScatter, count: int,
-                   gen: np.random.Generator) -> np.ndarray:
-    z = gen.standard_normal((count, p.dim))
-    return p.mean + z @ p.cov.sqrt()
-
-
 def _hospital_units(cfg: HospitalConfig):
     """Per-unit rescaled MCD estimates and outlier counts of a study.
 
@@ -390,6 +405,9 @@ def _hospital_units(cfg: HospitalConfig):
     subsets from split stream ``i``; the concentration paths of all units
     run as one batch.
     """
+    inlier, outlier = cfg.inlier, cfg.outlier
+    inlier_root, outlier_root = inlier.cov.sqrt(), outlier.cov.sqrt()
+    shape = (cfg.n, inlier.dim)
     gens, clouds, counts = [], [], []
     for i in range(cfg.k):
         gen = RngState(cfg.seed).split(i).generator()
@@ -398,16 +416,16 @@ def _hospital_units(cfg: HospitalConfig):
         else:
             p = gen.beta(*cfg.contamination_beta)
         mask = gen.random(cfg.n) < p
-        clean = _sample_member(cfg.inlier, cfg.n, gen)
-        bad = _sample_member(cfg.outlier, cfg.n, gen)
+        clean = inlier.mean + gen.standard_normal(shape) @ inlier_root
+        bad = outlier.mean + gen.standard_normal(shape) @ outlier_root
         clouds.append(np.where(mask[:, None], bad, clean))
         gens.append(gen)
         counts.append(int(mask.sum()))
     h = round(cfg.mcd_fraction * cfg.n)
-    fits = _mcd_fits(np.stack(clouds), h, cfg.mcd_restarts, gens)
-    scale = 1.0 / mcd_consistency_factor(cfg.mcd_fraction, cfg.inlier.dim)
-    estimates = tuple(LocScatter(f.mean, certify_spd(scale * f.cov.entries))
-                      for f in fits)
+    means, covs = _mcd_fits(np.stack(clouds), h, cfg.mcd_restarts, gens)
+    scale = 1.0 / mcd_consistency_factor(cfg.mcd_fraction, inlier.dim)
+    estimates = tuple(LocScatter(m, certify_spd(scale * c))
+                      for m, c in zip(means, covs))
     return estimates, tuple(counts)
 
 
@@ -441,12 +459,13 @@ def hospital_experiment(cfg: HospitalConfig) -> HospitalReport:
 
 def gaussian_parameter_law(dim: int = 2, mean_scale: float = 0.3,
                            condition_cap: float = 4.0):
-    """Law of a random member: Gaussian mean, bounded-condition scatter."""
-    check_count(dim, "dim", 1)
+    """Law of a random member: Gaussian mean, bounded-condition scatter;
+    the arguments are checked once, here."""
+    half = _half_log_cap(dim, condition_cap)
 
     def draw(gen: np.random.Generator) -> LocScatter:
         mean = mean_scale * gen.standard_normal(dim)
-        return LocScatter(mean, random_spd(dim, condition_cap, gen))
+        return LocScatter(mean, _spd_draw(dim, half, gen))
 
     return draw
 

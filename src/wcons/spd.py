@@ -71,24 +71,23 @@ class SymMatrix:
 class SpdMatrix:
     """A certified symmetric positive definite matrix.
 
-    Instances are produced by :func:`certify_spd`; the certificate is the
-    smallest eigenvalue, which exceeded the positivity floor at construction
-    time.  The full eigendecomposition computed during certification is kept
-    so that square roots and inverses are cheap reconstructions.
+    Instances are produced by :func:`certify_spd`, which keeps the
+    symmetrized entries and the eigendecomposition that certified them: the
+    smallest eigenvalue exceeded the positivity floor.  Square roots and
+    inverses are cheap reconstructions from the eigenpairs.
     """
 
-    base: SymMatrix
-    min_eigenvalue: float
+    entries: np.ndarray
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
 
     @property
-    def entries(self) -> np.ndarray:
-        return self.base.entries
+    def dim(self) -> int:
+        return self.entries.shape[0]
 
     @property
-    def dim(self) -> int:
-        return self.base.dim
+    def min_eigenvalue(self) -> float:
+        return float(self.eigenvalues[-1])
 
     def sqrt(self) -> np.ndarray:
         """Principal square root as a plain symmetric ndarray."""
@@ -205,7 +204,7 @@ def certify_spd(m: SymMatrix | np.ndarray) -> SpdMatrix:
             min_eigenvalue=smallest)
     w.setflags(write=False)
     v.setflags(write=False)
-    return SpdMatrix(m, smallest, w, v)
+    return SpdMatrix(m.entries, w, v)
 
 
 def spd_log(m: SpdMatrix) -> SymMatrix:

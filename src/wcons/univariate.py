@@ -12,7 +12,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidInput, check_count, check_weights
+from .errors import (GridMismatch, InvalidInput, check_count, check_positive,
+                     check_weights)
 
 __all__ = [
     "QuantileGrid",
@@ -92,8 +93,7 @@ def gaussian_quantiles(mean: float, sigma: float, size: int = DEFAULT_GRID_SIZE)
     the grid and mirrored, so the grid is antisymmetric about its center up to
     the placement of ``mean``.
     """
-    if sigma <= 0.0:
-        raise InvalidInput("sigma must be positive")
+    check_positive(sigma, "sigma")
     check_count(size, "size", 2)
     z = np.empty(size)
     half = size // 2

@@ -12,8 +12,9 @@ import pytest
 
 import wcons
 import wcons.spd
-from wcons import (AffineMap, HospitalConfig, RngState, TrimConfig,
-                   brute_force_trimmed, c_step_path, fixed_point_barycenter)
+from wcons import (AffineMap, HospitalConfig, RngState, SpdMatrix, TrimConfig,
+                   brute_force_trimmed, c_step_path, certify_spd,
+                   fixed_point_barycenter)
 
 EXPORTS = [
     "AffineMap", "BadWeights", "BallCheck", "BarycenterResult",
@@ -57,6 +58,15 @@ def test_configuration_fields():
         "k", "n", "contamination_beta", "mcd_fraction", "alpha_trim", "seed",
         "mcd_restarts", "trim_restarts"]
     assert field_names(RngState) == ["seed"]
+
+
+def test_certified_matrix_fields():
+    # The entries are held once, next to the eigenpairs that certify them.
+    assert field_names(SpdMatrix) == ["entries", "eigenvalues",
+                                      "eigenvectors"]
+    m = certify_spd([[4.0, 1.0], [1.0, 3.0]])
+    assert m.min_eigenvalue == m.eigenvalues[-1]
+    assert m.dim == 2
 
 
 def test_solver_parameters():

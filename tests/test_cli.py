@@ -364,6 +364,17 @@ class TestSimulate:
         assert code == 1
         assert "two parameters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", ["nan,1", "inf,1", "4,-inf"])
+    def test_hospitals_beta_must_be_finite(self, beta, capsys):
+        # NaN and inf used to run a zero-contamination study.
+        code = run_command(["simulate", "hospitals", "--k", "3", "--n", "20",
+                            "--beta", beta])
+        assert code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert "must be finite and positive" in out.err
+
     def test_consistency_artifact_reruns_identically(self, tmp_path,
                                                      capsys):
         out1 = tmp_path / "c1.csv"
@@ -467,6 +478,24 @@ class TestExitCodes:
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 1
         assert proc.stderr == "error: weights sum to inf\n"
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("flags", [["barycenter"],
+                                       ["trim", "--alpha", "0.2"]])
+    def test_overflowing_distance_is_exit_2(self, tmp_path, dim, flags):
+        # A real process: the squared mean gap overflows, which used to
+        # print numpy's warning and report an infinite variance with exit 0.
+        eye = np.eye(dim).tolist()
+        far = [1e300] + [0.0] * (dim - 1)
+        path = gauss_doc(tmp_path / "far.json", [(0.5, [0.0] * dim, eye),
+                                                 (0.5, far, eye)])
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-m", "wcons.cli"] + flags
+                              + [path],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 2
+        assert proc.stderr == "solver failure: squared distance is not finite\n"
 
 
 class TestModuleEntryPoint:

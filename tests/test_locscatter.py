@@ -140,6 +140,18 @@ class TestDistance:
         assert w2_distances_sq(random_member(gen, 2), []).shape == (0,)
 
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_overflowing_distance_raises(self, dim):
+        # No numpy overflow warning and no inf: the solvers' callers map
+        # ArithmeticError to a solver failure.
+        p = gauss([0.0] * dim, np.eye(dim))
+        q = gauss([1e300] + [0.0] * (dim - 1), np.eye(dim))
+        with pytest.raises(ArithmeticError, match="not finite"):
+            w2_distance_sq(p, q)
+        with pytest.raises(ArithmeticError, match="not finite"):
+            w2_distances_sq(p, [p, q])
+
+
 class TestPositivityRescue:
     def test_ill_conditioned_self_distances_are_rescued(self):
         # From each member of a d = 16 ensemble with condition numbers up
@@ -345,8 +357,9 @@ class TestSimilarityPushforward:
 
     def test_rejects_nonpositive_scale(self):
         p = gauss([0.0], [[1.0]])
-        with pytest.raises(InvalidInput):
-            similarity_pushforward(p, 0.0, np.eye(1), np.zeros(1))
+        for scale in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InvalidInput, match="similarity scale"):
+                similarity_pushforward(p, scale, np.eye(1), np.zeros(1))
 
 
 class TestLocScatterValidation:

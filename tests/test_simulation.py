@@ -15,6 +15,7 @@ from hypothesis import assume, given, strategies as st
 
 from wcons import (InvalidInput, LocScatter, RngState, SingularSubset,
                    certify_spd, fixed_point_barycenter, w2_distance_sq)
+from wcons import simulation
 from wcons.rng import splitmix64
 from wcons.simulation import (HospitalConfig, _c_step_paths,
                               _hospital_units, _planar_haar, c_step_path,
@@ -363,6 +364,19 @@ class TestCStepPath:
         with pytest.raises(InvalidInput):
             c_step_path(pts[0], 1, np.zeros(2), np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        pts = RngState(4).generator().standard_normal((10, 2))
+        mean, cov = np.zeros(2), np.eye(2)
+        pts[3, 1] = bad
+        with pytest.raises(InvalidInput, match="points"):
+            c_step_path(pts, 8, mean, cov)
+        pts[3, 1] = 0.0
+        with pytest.raises(InvalidInput, match="mean"):
+            c_step_path(pts, 8, np.array([0.0, bad]), cov)
+        with pytest.raises(InvalidInput, match="cov"):
+            c_step_path(pts, 8, mean, np.array([[1.0, bad], [bad, 1.0]]))
+
 
 class TestCStepKernel:
     def test_mixed_batch_matches_sequential_paths(self):
@@ -528,6 +542,14 @@ class TestEstimateMcd:
         with pytest.raises(InvalidInput):
             estimate_mcd(pts[0], 3, 3, gen)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        # One such point used to give RuntimeWarnings and a finite fit.
+        pts = RngState(2).generator().standard_normal((20, 2))
+        pts[7, 0] = bad
+        with pytest.raises(InvalidInput, match="points"):
+            estimate_mcd(pts, 15, 3, RngState(1))
+
     def test_deterministic_given_state(self):
         pts = RngState(3).generator().standard_normal((100, 2))
         a = estimate_mcd(pts, 80, 4, RngState(8))
@@ -612,6 +634,21 @@ class TestHospitalExperiment:
         bad = (cfg.outlier.mean + gen.standard_normal((cfg.n, 2))
                @ cfg.outlier.cov.sqrt())
         return np.where(mask[:, None], bad, clean), int(mask.sum()), gen
+
+    def test_units_certify_each_estimate_once(self, monkeypatch):
+        # Only the rescaled estimate is certified, not the raw fit too.
+        calls = []
+        certify = simulation.certify_spd
+
+        def counting(m):
+            calls.append(m)
+            return certify(m)
+
+        monkeypatch.setattr(simulation, "certify_spd", counting)
+        cfg = HospitalConfig(k=15, n=50, seed=4, mcd_restarts=3,
+                             trim_restarts=3)
+        _hospital_units(cfg)
+        assert len(calls) == cfg.k
 
     def test_units_equal_per_unit_estimate_then_rescale(self):
         # Recipe, then estimate_mcd from the same stream, then the
@@ -703,6 +740,11 @@ class TestHospitalExperiment:
             HospitalConfig(k=0)
         with pytest.raises(InvalidInput):
             HospitalConfig(contamination_beta=(0.0, 36.0))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidInput, match="Beta parameter a"):
+                HospitalConfig(contamination_beta=(bad, 1.0))
+            with pytest.raises(InvalidInput, match="Beta parameter b"):
+                HospitalConfig(contamination_beta=(4.0, bad))
         with pytest.raises(InvalidInput):
             HospitalConfig(mcd_fraction=0.0)
         with pytest.raises(InvalidInput):
@@ -764,6 +806,11 @@ class TestConsistencyHarness:
         # Used to build and fail only at the first draw, if at all.
         with pytest.raises(InvalidInput, match="must be an integer"):
             gaussian_parameter_law(dim=dim)
+
+    @pytest.mark.parametrize("cap", [0.5, math.nan, math.inf])
+    def test_parameter_law_checks_condition_cap_when_built(self, cap):
+        with pytest.raises(InvalidInput, match="condition cap"):
+            gaussian_parameter_law(condition_cap=cap)
 
 
 class TestEllipsePoints:

@@ -94,6 +94,9 @@ class TestGaussianQuantiles:
             gaussian_quantiles(0.0, 0.0)
         with pytest.raises(InvalidInput):
             gaussian_quantiles(0.0, -1.0)
+        for sigma in (float("nan"), float("inf")):
+            with pytest.raises(InvalidInput, match="sigma"):
+                gaussian_quantiles(0.0, sigma)
         with pytest.raises(InvalidInput):
             gaussian_quantiles(0.0, 1.0, size=1)
 
