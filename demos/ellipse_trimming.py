@@ -33,7 +33,7 @@ def main():
         print(f"  ball property: {'ok' if check.ok else check.violations}")
 
     alphas = np.arange(0.0, 0.51, 0.1)
-    points = variance_curve(ens, alphas, TrimConfig(alpha=0.0, seed=0))
+    points = variance_curve(ens, alphas, seed=0)
     print("\nvariance curve:")
     for pt in points:
         print(f"  alpha = {pt.alpha:.1f} -> var = {pt.variance:8.4f}")

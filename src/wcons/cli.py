@@ -25,7 +25,7 @@ from .barycenter import (DEFAULT_MAX_ITER, DEFAULT_TOL,
 from .errors import (DegenerateTrim, InvalidInput, MaxIterationsExceeded,
                      NotPositiveDefinite, ParseError, SingularSubset,
                      UnsupportedConfiguration)
-from .ensemble_io import (loc_scatter_obj, parse_ensemble_text,
+from .ensemble_io import (loc_scatter_obj, parse_ensemble,
                           read_quantile_grid, write_quantile_grid)
 from .locscatter import w2_distance_sq
 from .simulation import (HospitalConfig, consistency_harness,
@@ -46,22 +46,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_document(path, normalize):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror}")
-    return parse_ensemble_text(text, normalize=normalize)
-
-
 def _load_single(path):
-    doc = _load_document(path, normalize=True)
-    if doc.ensemble.size != 1:
+    ens = parse_ensemble(path, normalize=True).ensemble
+    if ens.size != 1:
         raise InvalidInput(
-            f"{path}: expected exactly one distribution, "
-            f"found {doc.ensemble.size}")
-    return doc.ensemble.members[0]
+            f"{path}: expected exactly one distribution, found {ens.size}")
+    return ens.members[0]
 
 
 def _write_json(path, payload):
@@ -70,18 +60,12 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _floats(text, what):
+def _list(text, what, kind):
     try:
-        return [float(x) for x in text.split(",") if x != ""]
+        return [kind(x) for x in text.split(",") if x != ""]
     except ValueError:
-        raise _UsageError(f"{what} must be comma-separated numbers: {text!r}")
-
-
-def _ints(text, what):
-    try:
-        return [int(x) for x in text.split(",") if x != ""]
-    except ValueError:
-        raise _UsageError(f"{what} must be comma-separated integers: {text!r}")
+        noun = "integers" if kind is int else "numbers"
+        raise _UsageError(f"{what} must be comma-separated {noun}: {text!r}")
 
 
 _MAX_ALPHAS = 10_000
@@ -136,7 +120,7 @@ def cmd_distance(args):
 
 
 def cmd_barycenter(args):
-    ens = _load_document(args.ensemble, args.normalize).ensemble
+    ens = parse_ensemble(args.ensemble, args.normalize).ensemble
     res = fixed_point_barycenter(ens, tol=args.tol, max_iter=args.max_iter)
     print(f"mean = [{', '.join(f'{x:.6g}' for x in res.bary.mean)}]")
     for row in res.bary.cov.entries:
@@ -155,7 +139,7 @@ def cmd_barycenter(args):
 
 
 def cmd_trim(args):
-    ens = _load_document(args.ensemble, args.normalize).ensemble
+    ens = parse_ensemble(args.ensemble, args.normalize).ensemble
     cfg = TrimConfig(alpha=args.alpha, restarts=args.restarts, seed=args.seed)
     res = trimmed_barycenter(ens, cfg)
     print(f"active_weights = [{', '.join(f'{w:.6g}' for w in res.active_weights)}]")
@@ -169,9 +153,9 @@ def cmd_trim(args):
 
 
 def cmd_variance_curve(args):
-    ens = _load_document(args.ensemble, args.normalize).ensemble
-    cfg = TrimConfig(alpha=0.0, restarts=args.restarts, seed=args.seed)
-    points = variance_curve(ens, _alpha_range(args.alphas), cfg)
+    ens = parse_ensemble(args.ensemble, args.normalize).ensemble
+    points = variance_curve(ens, _alpha_range(args.alphas), args.restarts,
+                            args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("alpha,var_alpha\n")
         for pt in points:
@@ -182,7 +166,7 @@ def cmd_variance_curve(args):
 
 
 def cmd_compare(args):
-    ens = _load_document(args.ensemble, args.normalize).ensemble
+    ens = parse_ensemble(args.ensemble, args.normalize).ensemble
     bary = fixed_point_barycenter(ens).bary
     logeuc = log_euclidean_mean(ens)
     linear = linear_mean(ens)
@@ -207,7 +191,7 @@ def cmd_compare(args):
 
 
 def cmd_ellipse(args):
-    doc = _load_document(args.ensemble, args.normalize)
+    doc = parse_ensemble(args.ensemble, args.normalize)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("label", "x", "y"))
@@ -224,7 +208,7 @@ def cmd_bary1d(args):
     if args.weights is None:
         weights = np.full(len(grids), 1.0 / len(grids))
     else:
-        weights = np.asarray(_floats(args.weights, "--weights"))
+        weights = np.asarray(_list(args.weights, "--weights", float))
     bary = quantile_barycenter(weights, grids)
     print(f"mean = {bary.mean():.6g}")
     print(f"variance = {bary.variance():.6g}")
@@ -235,11 +219,8 @@ def cmd_bary1d(args):
 
 
 def cmd_simulate_hospitals(args):
-    beta = _floats(args.beta, "--beta")
-    if len(beta) != 2:
-        raise _UsageError("--beta expects two parameters, e.g. 4,36")
-    cfg = HospitalConfig(k=args.k, n=args.n,
-                         contamination_beta=(beta[0], beta[1]),
+    beta = tuple(_list(args.beta, "--beta", float))
+    cfg = HospitalConfig(k=args.k, n=args.n, contamination_beta=beta,
                          mcd_fraction=args.mcd_fraction,
                          alpha_trim=args.alpha, seed=args.seed)
     report = hospital_experiment(cfg)
@@ -273,7 +254,7 @@ def cmd_simulate_hospitals(args):
 
 
 def cmd_simulate_consistency(args):
-    sizes = _ints(args.n, "--n")
+    sizes = _list(args.n, "--n", int)
     report = consistency_harness(gaussian_parameter_law(), sizes,
                                  alpha=args.alpha, reps=args.reps,
                                  seed=args.seed)
@@ -376,14 +357,8 @@ def run_command(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, InvalidInput, NotPositiveDefinite, DegenerateTrim,
-            UnsupportedConfiguration) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_UsageError, ParseError, InvalidInput, NotPositiveDefinite,
+            DegenerateTrim, UnsupportedConfiguration, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (MaxIterationsExceeded, SingularSubset, ArithmeticError,

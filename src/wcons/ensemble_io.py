@@ -124,22 +124,23 @@ def parse_ensemble_text(text: str, normalize: bool = False) -> EnsembleDocument:
         total = weights.sum()
     if not np.isfinite(total):
         raise BadWeights(f"weights sum to {float(total)!r}")
-    if normalize:
-        weights = weights / total
-    elif abs(total - 1.0) > _WEIGHT_SUM_TOL:
+    if not normalize and abs(total - 1.0) > _WEIGHT_SUM_TOL:
         raise BadWeights(f"weights sum to {float(total)!r}; pass the normalize "
                          f"option or fix the file")
-    else:
-        weights = weights / total
-    ensemble = WeightedEnsemble(weights, tuple(p[1] for p in parsed))
+    ensemble = WeightedEnsemble(weights / total, tuple(p[1] for p in parsed))
     return EnsembleDocument(ensemble=ensemble,
                             labels=tuple(p[2] for p in parsed))
 
 
-def parse_ensemble(path, normalize: bool = False) -> WeightedEnsemble:
-    """Parse an ensemble document from a file path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_ensemble_text(fh.read(), normalize=normalize).ensemble
+def parse_ensemble(path, normalize: bool = False) -> EnsembleDocument:
+    """Parse an ensemble document from a file path; a file that cannot be
+    read raises :class:`ParseError` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}")
+    return parse_ensemble_text(text, normalize=normalize)
 
 
 def loc_scatter_obj(p: LocScatter) -> dict:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import importlib.resources
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -47,12 +48,10 @@ __all__ = [
 _AGGREGATE_TAG = 0x5EED
 
 
-def _generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngState):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise InvalidInput(f"expected RngState or numpy Generator, got {type(rng)}")
+def _generator(gen) -> np.random.Generator:
+    if not isinstance(gen, np.random.Generator):
+        raise InvalidInput(f"expected a numpy Generator, got {type(gen)}")
+    return gen
 
 
 def _planar_haar(x: np.ndarray):
@@ -79,7 +78,8 @@ def _half_log_cap(dim: int, condition_cap: float) -> float:
     return 0.5 * np.log(condition_cap)
 
 
-def random_spd(dim: int, condition_cap: float, rng) -> SpdMatrix:
+def random_spd(dim: int, condition_cap: float,
+               gen: np.random.Generator) -> SpdMatrix:
     """Random positive definite matrix with condition number <= cap.
 
     Eigenvalues are log-uniform on [cap^-1/2, cap^1/2] and the eigenbasis
@@ -88,7 +88,7 @@ def random_spd(dim: int, condition_cap: float, rng) -> SpdMatrix:
     of a standard normal draw; at d = 2 it is built in closed form.
     """
     half = _half_log_cap(dim, condition_cap)
-    return _spd_draw(dim, half, _generator(rng))
+    return _spd_draw(dim, half, _generator(gen))
 
 
 def _spd_draw(dim: int, half: float, gen: np.random.Generator) -> SpdMatrix:
@@ -120,12 +120,12 @@ def _c_step_paths(clouds: np.ndarray, owner: np.ndarray, h: int,
     path fails when its start covariance is exactly singular (an LU zero
     pivot, on which a solve would raise) or when a refit has determinant
     sign <= 0.  At d = 2 a path whose covariance ``[[a, p], [q, c]]`` has
-    condition number below about 1e6 takes its Mahalanobis distances from
-    the inverse in closed form, ``(c x^2 - (p + q) x y + a y^2) / (a c -
-    p q)``; the other paths, and every path in other dimensions, solve.
-    The two routes differ by a few ulps times that condition number, so a
-    step whose h-th and (h+1)-th closed-form distances lie within 1e-8 of
-    each other is ranked by the solve: the supports are the solve's.
+    condition number below about 1e6 ranks its points by ``c x^2 - (p + q)
+    x y + a y^2``, the Mahalanobis distance times ``a c - p q > 0``; the
+    other paths, and every path in other dimensions, solve.  The two
+    routes differ by a few ulps times that condition number, so a step
+    whose h-th and (h+1)-th closed-form values lie within 1e-8 of each
+    other is ranked by the solve: the supports are the solve's.
     Returns ``(means, covs, supports, history, steps, failed)``;
     row ``i`` of ``history`` holds the log-determinants of the first
     ``steps[i]`` refits of path ``i``.
@@ -150,12 +150,10 @@ def _c_step_paths(clouds: np.ndarray, owner: np.ndarray, h: int,
         if cov.shape[-1] == 2:
             a, p = cov[:, 0, 0], cov[:, 0, 1]
             q, c = cov[:, 1, 0], cov[:, 1, 1]
-            det = a * c - p * q
-            use_solve = det <= 1e-6 * (a + c) ** 2
+            use_solve = a * c - p * q <= 1e-6 * (a + c) ** 2
             x, y = delta[..., 0], delta[..., 1]
             md = (c[:, None] * x * x - (p + q)[:, None] * x * y
                   + a[:, None] * y * y)
-            md /= np.where(use_solve, 1.0, det)[:, None]
             order = np.argsort(md, axis=1, kind="stable")
             if h < md.shape[1]:
                 # The routes may order distances within 1e-8 of each other
@@ -279,7 +277,8 @@ def _mcd_fits(clouds: np.ndarray, h: int, restarts: int,
     return best_mean, 0.5 * (best_cov + np.swapaxes(best_cov, 1, 2))
 
 
-def estimate_mcd(points: np.ndarray, h: int, restarts: int, rng) -> LocScatter:
+def estimate_mcd(points: np.ndarray, h: int, restarts: int,
+                 gen: np.random.Generator) -> LocScatter:
     """Minimum-covariance-determinant style location and scatter estimate.
 
     ``restarts`` random (d+1)-point subsets seed concentration paths; the
@@ -289,7 +288,7 @@ def estimate_mcd(points: np.ndarray, h: int, restarts: int, rng) -> LocScatter:
     maximum-likelihood covariance is returned.
     """
     means, covs = _mcd_fits(_points(points)[None], h, restarts,
-                            [_generator(rng)])
+                            [_generator(gen)])
     return LocScatter(means[0], certify_spd(covs[0]))
 
 
@@ -304,7 +303,7 @@ class HospitalConfig:
                                                certify_spd(np.eye(2)))
     k: int = 100
     n: int = 100
-    contamination_beta: tuple[float, float] | None = (4.0, 36.0)
+    contamination_beta: tuple[float, float] = (4.0, 36.0)
     mcd_fraction: float = 0.8
     alpha_trim: float = 0.2
     seed: int = 0
@@ -314,10 +313,12 @@ class HospitalConfig:
     def __post_init__(self):
         for name in ("k", "n", "mcd_restarts", "trim_restarts"):
             check_count(getattr(self, name), name, 1)
-        if self.contamination_beta is not None:
-            a, b = self.contamination_beta
-            check_positive(a, "Beta parameter a")
-            check_positive(b, "Beta parameter b")
+        beta = self.contamination_beta
+        if not (isinstance(beta, (tuple, list)) and len(beta) == 2):
+            raise InvalidInput("contamination_beta must be two parameters "
+                               f"(a, b), got {beta!r}")
+        check_positive(beta[0], "Beta parameter a")
+        check_positive(beta[1], "Beta parameter b")
         if not 0.0 < self.mcd_fraction <= 1.0:
             raise InvalidInput("mcd_fraction must lie in (0, 1]")
         check_alpha(self.alpha_trim, "alpha_trim")
@@ -411,10 +412,7 @@ def _hospital_units(cfg: HospitalConfig):
     gens, clouds, counts = [], [], []
     for i in range(cfg.k):
         gen = RngState(cfg.seed).split(i).generator()
-        if cfg.contamination_beta is None:
-            p = 0.0
-        else:
-            p = gen.beta(*cfg.contamination_beta)
+        p = gen.beta(*cfg.contamination_beta)
         mask = gen.random(cfg.n) < p
         clean = inlier.mean + gen.standard_normal(shape) @ inlier_root
         bad = outlier.mean + gen.standard_normal(shape) @ outlier_root
@@ -462,6 +460,10 @@ def gaussian_parameter_law(dim: int = 2, mean_scale: float = 0.3,
     """Law of a random member: Gaussian mean, bounded-condition scatter;
     the arguments are checked once, here."""
     half = _half_log_cap(dim, condition_cap)
+    if not (isinstance(mean_scale, numbers.Real)
+            and math.isfinite(mean_scale)):
+        raise InvalidInput(
+            f"mean_scale must be a finite real, got {mean_scale!r}")
 
     def draw(gen: np.random.Generator) -> LocScatter:
         mean = mean_scale * gen.standard_normal(dim)

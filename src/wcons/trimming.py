@@ -17,7 +17,7 @@ provides an independent oracle for small equal-weight ensembles.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -267,8 +267,10 @@ class CurvePoint:
 
 
 def variance_curve(ens: WeightedEnsemble, alphas,
-                   cfg: TrimConfig) -> list[CurvePoint]:
-    """Trimmed variance as a function of the trimming level."""
+                   restarts: int = TrimConfig.restarts,
+                   seed: int = 0) -> list[CurvePoint]:
+    """Trimmed variance as a function of the trimming level; each level
+    solves ``TrimConfig(alpha, restarts, seed)``."""
     alphas = [float(a) for a in alphas]
     for a in alphas:
         check_alpha(a)
@@ -276,7 +278,7 @@ def variance_curve(ens: WeightedEnsemble, alphas,
         raise InvalidInput("alphas must be strictly ascending")
     points = []
     for a in alphas:
-        res = trimmed_barycenter(ens, replace(cfg, alpha=a))
+        res = trimmed_barycenter(ens, TrimConfig(a, restarts, seed))
         points.append(CurvePoint(alpha=a, variance=res.trimmed_variance,
                                  result=res))
     return points

@@ -14,7 +14,7 @@ import wcons
 import wcons.spd
 from wcons import (AffineMap, HospitalConfig, RngState, SpdMatrix, TrimConfig,
                    brute_force_trimmed, c_step_path, certify_spd,
-                   fixed_point_barycenter)
+                   fixed_point_barycenter, variance_curve)
 
 EXPORTS = [
     "AffineMap", "BadWeights", "BallCheck", "BarycenterResult",
@@ -74,6 +74,8 @@ def test_solver_parameters():
                                                        "max_iter"]
     assert parameter_names(brute_force_trimmed) == ["ens", "alpha"]
     assert parameter_names(c_step_path) == ["points", "h", "mean", "cov"]
+    assert parameter_names(variance_curve) == ["ens", "alphas", "restarts",
+                                               "seed"]
 
 
 def test_removed_entry_points_stay_gone():

@@ -159,9 +159,15 @@ class TestParseEnsemble:
         path = tmp_path / "ens.json"
         path.write_text(doc_text([entry(1.0, [3.0], [[4.0]])]),
                         encoding="utf-8")
-        ens = parse_ensemble(path)
+        ens = parse_ensemble(path).ensemble
         assert ens.size == 1
         assert ens.members[0].mean[0] == 3.0
+
+    def test_missing_path_is_named(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(ParseError) as info:
+            parse_ensemble(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 class TestEmitEnsemble:

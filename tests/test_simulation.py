@@ -176,10 +176,9 @@ class TestRandomSpd:
         with pytest.raises(InvalidInput, match="finite"):
             random_spd(2, cap, RngState(3).generator())
 
-    def test_accepts_rng_state(self):
-        a = random_spd(2, 4.0, RngState(11))
-        b = random_spd(2, 4.0, RngState(11))
-        np.testing.assert_array_equal(a.entries, b.entries)
+    def test_rejects_rng_state(self):
+        with pytest.raises(InvalidInput, match="numpy Generator"):
+            random_spd(2, 4.0, RngState(11))
 
     def test_rejects_plain_seed(self):
         with pytest.raises(InvalidInput):
@@ -528,7 +527,7 @@ class TestEstimateMcd:
         t = np.linspace(0.0, 1.0, 40)
         pts = np.column_stack([t, 2.0 * t])
         with pytest.raises(SingularSubset):
-            estimate_mcd(pts, 30, 3, RngState(1))
+            estimate_mcd(pts, 30, 3, RngState(1).generator())
 
     def test_argument_validation(self):
         gen = RngState(2).generator()
@@ -552,8 +551,8 @@ class TestEstimateMcd:
 
     def test_deterministic_given_state(self):
         pts = RngState(3).generator().standard_normal((100, 2))
-        a = estimate_mcd(pts, 80, 4, RngState(8))
-        b = estimate_mcd(pts, 80, 4, RngState(8))
+        a = estimate_mcd(pts, 80, 4, RngState(8).generator())
+        b = estimate_mcd(pts, 80, 4, RngState(8).generator())
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.cov.entries, b.cov.entries)
 
@@ -581,8 +580,9 @@ class TestEstimateMcd:
 
 class TestHospitalExperiment:
     def test_zero_contamination_all_aggregates_near_target(self):
-        cfg = HospitalConfig(k=30, n=80, contamination_beta=None, seed=3,
-                             mcd_restarts=3, trim_restarts=4)
+        # Beta(1e-9, 1e9) draws exactly 0.0: a clean study.
+        cfg = HospitalConfig(k=30, n=80, contamination_beta=(1e-9, 1e9),
+                             seed=3, mcd_restarts=3, trim_restarts=4)
         rep = hospital_experiment(cfg)
         assert rep.unit_outlier_counts == (0,) * 30
         assert rep.units_over_20pct == 0
@@ -755,6 +755,13 @@ class TestHospitalExperiment:
         with pytest.raises(InvalidInput, match="seed must be an integer"):
             HospitalConfig(seed=seed)
 
+    @pytest.mark.parametrize("beta", [(1.0, 2.0, 3.0), 4.0, None, (1.0,),
+                                      ("4", "36")])
+    def test_beta_must_be_two_numbers(self, beta):
+        # A wrong length used to escape as a bare ValueError or TypeError.
+        with pytest.raises(InvalidInput):
+            HospitalConfig(contamination_beta=beta)
+
 
 class TestConsistencyHarness:
     def test_constant_law_gives_zero_distances(self):
@@ -811,6 +818,17 @@ class TestConsistencyHarness:
     def test_parameter_law_checks_condition_cap_when_built(self, cap):
         with pytest.raises(InvalidInput, match="condition cap"):
             gaussian_parameter_law(condition_cap=cap)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, "0.3"])
+    def test_parameter_law_checks_mean_scale_when_built(self, scale):
+        # Used to build and fail only at the first draw.
+        with pytest.raises(InvalidInput, match="mean_scale"):
+            gaussian_parameter_law(mean_scale=scale)
+
+    def test_parameter_law_allows_zero_and_negative_mean_scale(self):
+        gen = RngState(6).generator()
+        assert not gaussian_parameter_law(mean_scale=0.0)(gen).mean.any()
+        assert gaussian_parameter_law(mean_scale=-0.5)(gen).dim == 2
 
 
 class TestEllipsePoints:
@@ -899,7 +917,8 @@ NON_INTEGER_COUNTS = {
         restarts=1.5),
     "consistency_harness.n_values": lambda: consistency_harness(
         gaussian_parameter_law(), [10.7, 20], alpha=0.2, reps=2, seed=4),
-    "estimate_mcd.h": lambda: estimate_mcd(_cloud(), 30.5, 3, RngState(2)),
+    "estimate_mcd.h": lambda: estimate_mcd(_cloud(), 30.5, 3,
+                                           RngState(2).generator()),
     "c_step_path.h": lambda: c_step_path(_cloud(), 30.5, np.zeros(2),
                                          np.eye(2)),
     "gaussian_quantiles.size": lambda: gaussian_quantiles(0.0, 1.0, 64.5),
@@ -925,8 +944,9 @@ def test_numpy_integer_counts_are_accepted():
 
 def test_numpy_integer_sizes_are_accepted():
     pts = _cloud()
-    est = estimate_mcd(pts, np.int64(30), np.int32(3), RngState(2))
-    plain = estimate_mcd(pts, 30, 3, RngState(2))
+    est = estimate_mcd(pts, np.int64(30), np.int32(3),
+                       RngState(2).generator())
+    plain = estimate_mcd(pts, 30, 3, RngState(2).generator())
     np.testing.assert_array_equal(est.mean, plain.mean)
     np.testing.assert_array_equal(est.cov.entries, plain.cov.entries)
     *_, history = c_step_path(pts, np.int32(30), np.zeros(2), np.eye(2))

@@ -475,7 +475,7 @@ class TestVarianceCurve:
     def test_single_zero_alpha(self):
         gen = np.random.default_rng(81)
         ens = random_ensemble(gen, 4, 2)
-        points = variance_curve(ens, [0.0], TrimConfig(alpha=0.0, restarts=3))
+        points = variance_curve(ens, [0.0], restarts=3)
         assert len(points) == 1
         assert points[0].variance == pytest.approx(
             fixed_point_barycenter(ens).variance, rel=1e-10)
@@ -484,7 +484,7 @@ class TestVarianceCurve:
         # At alpha 0 only the means matter (all sigmas equal 1):
         # (0 + 0.01 + 100) / 3 - ((0 + 0.1 + 10) / 3)^2 = 22.00222...
         points = variance_curve(far_outlier_trio(), [0.0, 1.0 / 3.0],
-                                TrimConfig(alpha=0.0, restarts=6))
+                                restarts=6)
         assert points[0].variance == pytest.approx(22.002222222222223,
                                                    rel=1e-9)
         assert points[1].variance == pytest.approx(0.0025, abs=1e-12)
@@ -493,9 +493,8 @@ class TestVarianceCurve:
         gen = np.random.default_rng(82)
         for _ in range(5):
             ens = random_ensemble(gen, 6, 2, mean_scale=2.0, equal=True)
-            cfg = TrimConfig(alpha=0.0, restarts=12, seed=11)
             points = variance_curve(ens, [0.0, 1.0 / 6.0, 2.0 / 6.0,
-                                          3.0 / 6.0], cfg)
+                                          3.0 / 6.0], restarts=12, seed=11)
             values = [p.variance for p in points]
             for a, b in zip(values, values[1:]):
                 assert b <= a + 1e-10
