@@ -3,17 +3,16 @@
 Summaries go to stdout with six significant digits; machine-readable
 artifacts are written to ``--out`` paths as JSON or CSV with full
 round-trip float precision.  Exit status is 0 on success, 1 on any
-validation or I/O problem (bad flags, malformed documents, non-certifiable
-inputs, unreadable or unwritable files) and 2 when a solver gives up or
-loses numerical positivity.  Every failure is reported as one line on
-stderr.
+validation or I/O problem (bad flags, malformed or too deeply nested
+documents, non-certifiable inputs, files that cannot be read or decoded as
+UTF-8, unwritable files) and 2 when a solver gives up or loses numerical
+positivity.  Every failure is reported as one line on stderr, and a
+command that fails writes no ``--out`` file.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 
@@ -25,8 +24,9 @@ from .barycenter import (DEFAULT_MAX_ITER, DEFAULT_TOL,
 from .errors import (DegenerateTrim, InvalidInput, MaxIterationsExceeded,
                      NotPositiveDefinite, ParseError, SingularSubset,
                      UnsupportedConfiguration)
-from .ensemble_io import (loc_scatter_obj, parse_ensemble,
-                          read_quantile_grid, write_quantile_grid)
+from .ensemble_io import (_write_csv, _write_json, loc_scatter_obj,
+                          parse_ensemble, read_quantile_grid,
+                          write_quantile_grid)
 from .locscatter import w2_distance_sq
 from .simulation import (HospitalConfig, consistency_harness,
                          ellipse_points, gaussian_parameter_law,
@@ -52,12 +52,6 @@ def _load_single(path):
         raise InvalidInput(
             f"{path}: expected exactly one distribution, found {ens.size}")
     return ens.members[0]
-
-
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def _list(text, what, kind):
@@ -156,10 +150,8 @@ def cmd_variance_curve(args):
     ens = parse_ensemble(args.ensemble, args.normalize).ensemble
     points = variance_curve(ens, _alpha_range(args.alphas), args.restarts,
                             args.seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("alpha,var_alpha\n")
-        for pt in points:
-            fh.write(f"{pt.alpha!r},{pt.variance!r}\n")
+    _write_csv(args.out, ("alpha", "var_alpha"),
+               [(pt.alpha, pt.variance) for pt in points])
     for pt in points:
         print(f"alpha = {pt.alpha:.6g} -> var = {pt.variance:.6g}")
     return 0
@@ -192,13 +184,10 @@ def cmd_compare(args):
 
 def cmd_ellipse(args):
     doc = parse_ensemble(args.ensemble, args.normalize)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("label", "x", "y"))
-        for i, member in enumerate(doc.ensemble.members):
-            label = doc.labels[i] or f"entry-{i}"
-            for x, y in ellipse_points(member, args.count):
-                writer.writerow((label, repr(float(x)), repr(float(y))))
+    rows = [(doc.labels[i] or f"entry-{i}", float(x), float(y))
+            for i, member in enumerate(doc.ensemble.members)
+            for x, y in ellipse_points(member, args.count)]
+    _write_csv(args.out, ("label", "x", "y"), rows)
     print(f"wrote {doc.ensemble.size * args.count} points to {args.out}")
     return 0
 
@@ -258,13 +247,11 @@ def cmd_simulate_consistency(args):
     report = consistency_harness(gaussian_parameter_law(), sizes,
                                  alpha=args.alpha, reps=args.reps,
                                  seed=args.seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("n,median_w2_sq_to_reference,median_trimmed_variance,"
-                 "variance_gap\n")
-        for row in report.rows:
-            fh.write(f"{row.n},{row.median_w2_sq_to_reference!r},"
-                     f"{row.median_trimmed_variance!r},"
-                     f"{row.variance_gap!r}\n")
+    _write_csv(args.out, ("n", "median_w2_sq_to_reference",
+                          "median_trimmed_variance", "variance_gap"),
+               [(row.n, row.median_w2_sq_to_reference,
+                 row.median_trimmed_variance, row.variance_gap)
+                for row in report.rows])
     for row in report.rows:
         print(f"n = {row.n}: median w2_sq = "
               f"{row.median_w2_sq_to_reference:.6g}, "

@@ -8,7 +8,8 @@ Ensemble documents are JSON objects of the form
 with the label optional.  Quantile grids travel as single-column CSV files
 with header ``quantile_value``.  Floats are emitted with Python's shortest
 round-trip representation, so emitted files are byte-stable and parse back
-to the exact same doubles.
+to the exact same doubles.  A file that cannot be read or decoded as UTF-8
+is a :class:`ParseError` naming its path.
 """
 
 from __future__ import annotations
@@ -112,6 +113,8 @@ def parse_ensemble_text(text: str, normalize: bool = False) -> EnsembleDocument:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ParseError("document nests too deeply")
     if not isinstance(doc, dict) or "distributions" not in doc:
         raise ParseError("document must be an object with a "
                          "'distributions' array")
@@ -135,12 +138,7 @@ def parse_ensemble_text(text: str, normalize: bool = False) -> EnsembleDocument:
 def parse_ensemble(path, normalize: bool = False) -> EnsembleDocument:
     """Parse an ensemble document from a file path; a file that cannot be
     read raises :class:`ParseError` naming the path."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror}")
-    return parse_ensemble_text(text, normalize=normalize)
+    return parse_ensemble_text(_read_text(path), normalize=normalize)
 
 
 def loc_scatter_obj(p: LocScatter) -> dict:
@@ -164,8 +162,7 @@ def emit_ensemble(doc: EnsembleDocument) -> str:
 
 def read_quantile_grid(path) -> QuantileGrid:
     """Read a quantile grid from a one-column CSV with header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in _read_text(path).split("\n") if ln.strip()]
     if not lines or lines[0] != "quantile_value":
         raise ParseError(f"{path}: expected header 'quantile_value'")
     try:
@@ -178,7 +175,31 @@ def read_quantile_grid(path) -> QuantileGrid:
 
 
 def write_quantile_grid(path, grid: QuantileGrid) -> None:
+    _write_csv(path, ("quantile_value",), [(v,) for v in grid.values.tolist()])
+
+
+def _read_text(path) -> str:
+    """The whole text of an input file, decoded as UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}")
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows``; Python floats appear as their
+    shortest round-trip ``repr``, and fields are quoted only if needed."""
+    import csv
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("quantile_value\n")
-        for v in grid.values:
-            fh.write(f"{float(v)!r}\n")
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")

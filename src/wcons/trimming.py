@@ -239,12 +239,12 @@ def verify_ball_property(result: TrimmedResult, ens: WeightedEnsemble,
         if d[i] < radius - shell:
             if abs(lam_star[i] - full[i]) > w_tol:
                 violations.append(
-                    f"atom {i} strictly inside keeps {lam_star[i]!r} "
-                    f"instead of full weight {full[i]!r}")
+                    f"atom {i} strictly inside keeps {float(lam_star[i])!r} "
+                    f"instead of full weight {float(full[i])!r}")
         elif d[i] > radius + shell:
             if lam_star[i] != 0.0:
-                violations.append(
-                    f"atom {i} strictly outside keeps weight {lam_star[i]!r}")
+                violations.append(f"atom {i} strictly outside keeps "
+                                  f"weight {float(lam_star[i])!r}")
         if w_tol < lam_star[i] < full[i] - w_tol:
             partial += 1
             if abs(d[i] - radius) > shell:

@@ -404,6 +404,25 @@ class TestAndersonAcceleration:
         assert err.value.last_iterate[0, 0] == pytest.approx(
             (16.0 / 15.0) ** 2, rel=1e-14)
 
+    def test_non_finite_gram_solution_takes_plain_step(self, monkeypatch):
+        # A Gram solution with a NaN is no candidate: every step falls back
+        # to the plain one, so the solve retraces the plain iteration.
+        calls = []
+
+        def nan_solution(a, b):
+            calls.append(a.shape)
+            return np.full(b.shape, np.nan)
+
+        monkeypatch.setattr(np.linalg, "solve", nan_solution)
+        ens = random_ensemble(np.random.default_rng(71), 20, 5,
+                              condition_cap=1e4)
+        res = fixed_point_barycenter(ens)
+        ref = plain_barycenter(ens)
+        assert calls and all(shape == (1, 1) for shape in calls)
+        assert res.iterations == ref.iterations
+        np.testing.assert_array_equal(res.bary.cov.entries,
+                                      ref.bary.cov.entries)
+
 
 class TestGMap:
     def test_barycenter_is_fixed_point(self):

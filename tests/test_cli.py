@@ -233,6 +233,21 @@ class TestVarianceCurve:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "10000 points" in err
 
+    @pytest.mark.parametrize("alphas, message", [
+        ("a:b:c", "--alphas expects numbers"),
+        ("0:0.5:0", "--alphas step must be positive"),
+        ("0.5:0.1:0.1", "--alphas range is empty"),
+    ])
+    def test_malformed_range_is_exit_1(self, far_outlier_path, tmp_path,
+                                       capsys, alphas, message):
+        out = tmp_path / "curve.csv"
+        code = run_command(["variance-curve", far_outlier_path,
+                            f"--alphas={alphas}", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_commuting_pair(self, tmp_path, capsys):
@@ -279,6 +294,18 @@ class TestEllipse:
             _, x, y = line.split(",")
             assert float(x) ** 2 + float(y) ** 2 == pytest.approx(1.0,
                                                                   abs=1e-12)
+
+    def test_failure_leaves_out_file_as_it_was(self, tmp_path, capsys):
+        # The points are traced before the file is opened, so a member
+        # that cannot be traced leaves whatever the file held.
+        path = gauss_doc(tmp_path / "solid.json",
+                         [(1.0, [0.0, 0.0, 0.0], np.eye(3).tolist())])
+        out = tmp_path / "ellipses.csv"
+        out.write_text("kept\n", encoding="utf-8")
+        assert run_command(["ellipse", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: ellipse tracing requires dimension 2\n")
+        assert out.read_text(encoding="utf-8") == "kept\n"
 
     def test_labels_with_commas_and_newlines_are_quoted(self, tmp_path):
         labels = ["north, 2019", "line\nbreak", 'say "hi"']
@@ -343,6 +370,12 @@ class TestBary1d:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "weights must be finite" in err
 
+    def test_non_numeric_weights_are_exit_1(self, tmp_path, capsys):
+        g1, g2 = self.write_gaussian_grids(tmp_path)
+        assert run_command(["bary1d", g1, g2, "--weights", "0.5,x"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --weights must be comma-separated numbers: '0.5,x'\n")
+
 
 class TestSimulate:
     def test_hospitals_artifact_reruns_identically(self, tmp_path, capsys):
@@ -388,6 +421,15 @@ class TestSimulate:
         assert lines[0] == ("n,median_w2_sq_to_reference,"
                             "median_trimmed_variance,variance_gap")
         assert [int(line.split(",")[0]) for line in lines[1:]] == [8, 16]
+
+    def test_consistency_sizes_must_be_integers(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        code = run_command(["simulate", "consistency", "--n", "8,x",
+                            "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --n must be comma-separated integers: '8,x'\n")
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -496,6 +538,67 @@ class TestExitCodes:
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 2
         assert proc.stderr == "solver failure: squared distance is not finite\n"
+
+
+def failure_probe(tmp_path, probe):
+    """Arguments of one failure-contract run: an input that must end in
+    exit 1 with one stderr line and no ``--out`` file."""
+    grid = tmp_path / "grid.csv"
+    write_quantile_grid(grid, gaussian_quantiles(0.0, 1.0))
+    out = str(tmp_path / "out")
+    if probe == "non_utf8_ensemble":
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'\xff{"distributions": []}')
+        return ["barycenter", str(path), "--out", out]
+    if probe == "non_utf8_grid":
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"quantile_value\n\xb51.0\n2.0\n")
+        return ["bary1d", str(grid), str(path), "--out", out]
+    if probe == "deep_document":
+        path = tmp_path / "deep.json"
+        path.write_text('{"distributions": ' + "[" * 100_000,
+                        encoding="utf-8")
+        return ["barycenter", str(path), "--out", out]
+    if probe == "missing_grid":
+        return ["bary1d", str(grid), str(tmp_path / "absent.csv"),
+                "--out", out]
+    path = gauss_doc(tmp_path / "solid.json",
+                     [(1.0, [0.0, 0.0, 0.0], np.eye(3).tolist())])
+    return ["ellipse", path, "--out", out]
+
+
+FAILURE_PROBES = {
+    "non_utf8_ensemble": "can't decode byte 0xff in position 0",
+    "non_utf8_grid": "can't decode byte 0xb5 in position 15",
+    "deep_document": "error: document nests too deeply",
+    "missing_grid": "absent.csv: No such file or directory",
+    "ellipse_3d": "error: ellipse tracing requires dimension 2",
+}
+
+
+class TestFailureContract:
+    @pytest.mark.parametrize("probe", list(FAILURE_PROBES))
+    def test_in_process(self, tmp_path, capsys, probe):
+        argv = failure_probe(tmp_path, probe)
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert FAILURE_PROBES[probe] in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("probe", list(FAILURE_PROBES))
+    def test_subprocess(self, tmp_path, probe):
+        argv = failure_probe(tmp_path, probe)
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-m", "wcons.cli", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert FAILURE_PROBES[probe] in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestModuleEntryPoint:

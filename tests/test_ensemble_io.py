@@ -136,6 +136,20 @@ class TestParseEnsemble:
                            match=rf"distributions\[0\]: {field} is not"):
             parse_ensemble_text(doc_text([obj]))
 
+    def test_overflowing_cov_entry_is_not_finite(self):
+        # JSON has no infinity, but 1e999 parses to one.
+        text = ('{"distributions": [{"weight": 1.0, "mean": [0.0], '
+                '"cov": [[1e999]]}]}')
+        with pytest.raises(ParseError,
+                           match=r"distributions\[0\]: cov must be finite"):
+            parse_ensemble_text(text)
+
+    def test_deep_nesting_is_a_parse_error(self):
+        # The JSON decoder recurses once per nesting level.
+        text = '{"distributions": ' + "[" * 100_000
+        with pytest.raises(ParseError, match="^document nests too deeply$"):
+            parse_ensemble_text(text)
+
     def test_integer_too_large_for_a_float(self):
         text = doc_text([entry(1, [10 ** 400], [[1]])])
         with pytest.raises(ParseError, match="too large"):
@@ -168,6 +182,14 @@ class TestParseEnsemble:
         with pytest.raises(ParseError) as info:
             parse_ensemble(path)
         assert str(info.value).startswith(f"{path}: ")
+
+    def test_non_utf8_path_is_named(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'\xff{"distributions": []}')
+        with pytest.raises(ParseError) as info:
+            parse_ensemble(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert "can't decode byte 0xff in position 0" in str(info.value)
 
 
 class TestEmitEnsemble:
@@ -240,3 +262,34 @@ class TestQuantileGridFiles:
         path.write_text("quantile_value\n\n-1.0\n\n1.0\n\n", encoding="utf-8")
         back = read_quantile_grid(path)
         np.testing.assert_array_equal(back.values, [-1.0, 1.0])
+
+    def test_crlf_lines_read(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_bytes(b"quantile_value\r\n-1.0\r\n1.0\r\n")
+        back = read_quantile_grid(path)
+        np.testing.assert_array_equal(back.values, [-1.0, 1.0])
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\x85", "\u2028"])
+    def test_only_newlines_separate_rows(self, tmp_path, separator):
+        # str.splitlines would also break on these; a row holding one is
+        # not a number.
+        path = tmp_path / "grid.csv"
+        path.write_text(f"quantile_value\n-1.0{separator}1.0\n2.0\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            read_quantile_grid(path)
+        assert str(info.value).startswith(f"{path}: could not convert")
+
+    def test_missing_path_is_named(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(ParseError) as info:
+            read_quantile_grid(path)
+        assert str(info.value) == f"{path}: No such file or directory"
+
+    def test_non_utf8_path_is_named(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"quantile_value\n\xb51.0\n2.0\n")
+        with pytest.raises(ParseError) as info:
+            read_quantile_grid(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert "can't decode byte 0xb5 in position 15" in str(info.value)

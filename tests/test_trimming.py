@@ -470,6 +470,34 @@ class TestBallProperty:
         with pytest.raises(BadWeights):
             verify_ball_property(forged, ens, 1.0 / 3.0)
 
+    @pytest.mark.parametrize("alpha, weights, message", [
+        (0.25, [0.0, 0.0, 0.0, 0.0], "no atom kept positive weight"),
+        (0.25, [0.5, 0.0, 0.5, 0.0],
+         "atom 1 strictly inside keeps 0.0 instead of full weight "
+         "0.3333333333333333"),
+        # Only a negative weight can sit beyond the radius, which is the
+        # largest distance among atoms of positive weight.
+        (0.25, [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0 + 0.1, -0.1],
+         "atom 3 strictly outside keeps weight -0.1"),
+        (0.5, [0.25, 0.5, 0.25, 0.0],
+         "2 atoms are partially kept, expected <= 1"),
+        (0.25, [0.4, 0.2, 0.4, 0.0],
+         "partially kept atom 1 is off the boundary shell"),
+        (0.25, [1.0 / 3.0, 1.0 / 3.0, 0.0, 0.0],
+         "active weights sum to 0.6666666666666666"),
+    ])
+    def test_each_violation_is_named(self, alpha, weights, message):
+        # Unit-scatter atoms at -1, 0, 1 and 10 around the solved center 0:
+        # atoms 0 and 2 sit on the unit shell, atom 1 inside, atom 3 far.
+        ens = WeightedEnsemble.equal_weights(
+            tuple(gauss_1d(m, 1.0) for m in (-1.0, 0.0, 1.0, 10.0)))
+        res = trimmed_barycenter(ens, TrimConfig(alpha=0.25, restarts=2))
+        assert verify_ball_property(res, ens, 0.25).ok
+        forged = dataclasses.replace(res, active_weights=np.array(weights))
+        check = verify_ball_property(forged, ens, alpha)
+        assert not check.ok
+        assert message in check.violations
+
 
 class TestVarianceCurve:
     def test_single_zero_alpha(self):
