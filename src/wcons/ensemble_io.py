@@ -8,8 +8,8 @@ Ensemble documents are JSON objects of the form
 with the label optional.  Quantile grids travel as single-column CSV files
 with header ``quantile_value``.  Floats are emitted with Python's shortest
 round-trip representation, so emitted files are byte-stable and parse back
-to the exact same doubles.  A file that cannot be read or decoded as UTF-8
-is a :class:`ParseError` naming its path.
+to the exact same doubles.  A file that cannot be read or decoded as UTF-8,
+or whose document is malformed, is a :class:`ParseError` naming its path.
 """
 
 from __future__ import annotations
@@ -137,8 +137,13 @@ def parse_ensemble_text(text: str, normalize: bool = False) -> EnsembleDocument:
 
 def parse_ensemble(path, normalize: bool = False) -> EnsembleDocument:
     """Parse an ensemble document from a file path; a file that cannot be
-    read raises :class:`ParseError` naming the path."""
-    return parse_ensemble_text(_read_text(path), normalize=normalize)
+    read, and a malformed document, raise :class:`ParseError` naming the
+    path."""
+    text = _read_text(path)
+    try:
+        return parse_ensemble_text(text, normalize=normalize)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def loc_scatter_obj(p: LocScatter) -> dict:

@@ -109,6 +109,64 @@ def _ml_fit(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.swapaxes(centered, -1, -2) @ centered / points.shape[-2]
 
 
+def _edge_values(md: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``h``-th and ``(h + 1)``-th smallest entry of each row of ``md``
+    (NaN ranking last, as in a sort), from one partial selection."""
+    part = np.partition(md, h, axis=1)
+    return part[:, :h].max(axis=1), part[:, h]
+
+
+def _supports(md: np.ndarray, last: np.ndarray, h: int) -> np.ndarray:
+    """Ascending indices of the ``h`` smallest entries of each row of
+    ``md``, ties by index: the first ``h`` of a stable argsort, sorted.
+
+    ``last`` holds each row's ``h``-th smallest entry, so the support is
+    the entries at most ``last``.  A row with more of those than ``h`` (a
+    tie across the edge) or fewer (a NaN edge) is ranked by the stable
+    sort itself.
+    """
+    keep = md <= last[:, None]
+    odd = np.flatnonzero(np.count_nonzero(keep, axis=1) != h)
+    if odd.size:
+        order = np.argsort(md[odd], axis=1, kind="stable")[:, :h]
+        keep[odd] = False
+        keep[odd[:, None], order] = True
+    # Flat positions in row-major order are ascending within each row.
+    rows, n = keep.shape
+    return (np.flatnonzero(keep).reshape(rows, h)
+            - n * np.arange(rows)[:, None])
+
+
+def _support_fits(cols: list[np.ndarray], own: np.ndarray,
+                  support: np.ndarray):
+    """:func:`_ml_fit` of the points ``support[i]`` of the clouds
+    ``own[i]``, bit for bit, from the clouds' coordinate arrays ``cols``
+    (``(u, n)`` each).
+
+    On the ``(b, h, d)`` stack of those points, ``mean(axis=-2)`` sums over
+    ``h`` in order when ``d >= 2``, through a strided axis.  Here each
+    coordinate is gathered as an ``(h, b)`` array and summed over its
+    rows, the same order; a single column is accumulated, since numpy
+    would sum it pairwise.  At ``d = 1`` the stack's own sum runs along
+    contiguous rows, pairwise, so the stack goes to :func:`_ml_fit`.
+    """
+    (b, h), d, n = support.shape, len(cols), cols[0].shape[1]
+    flat = support + n * own[:, None]
+    if d == 1:
+        return _ml_fit(cols[0].ravel().take(flat)[..., None])
+    index = np.ascontiguousarray(flat.T)
+    mean = np.empty((b, d))
+    stack = np.empty((b, h, d))
+    for j, col in enumerate(cols):
+        values = col.ravel().take(index)
+        total = (values.sum(axis=0) if b > 1
+                 else np.add.accumulate(values)[-1])
+        mean[:, j] = total / h
+        stack[..., j] = values.T
+    stack -= mean[:, None, :]
+    return mean, np.swapaxes(stack, 1, 2) @ stack / h
+
+
 def _c_step_paths(clouds: np.ndarray, owner: np.ndarray, h: int,
                   means: np.ndarray, covs: np.ndarray, max_steps: int = 100):
     """Concentration steps for a stack of paths until each support repeats.
@@ -119,18 +177,28 @@ def _c_step_paths(clouds: np.ndarray, owner: np.ndarray, h: int,
     its support repeats, when it fails, or after ``max_steps`` refits.  A
     path fails when its start covariance is exactly singular (an LU zero
     pivot, on which a solve would raise) or when a refit has determinant
-    sign <= 0.  At d = 2 a path whose covariance ``[[a, p], [q, c]]`` has
+    sign <= 0.
+
+    The clouds are held once as ``d`` contiguous ``(u, n)`` coordinate
+    arrays.  At d = 2 a path whose covariance ``[[a, p], [q, c]]`` has
     condition number below about 1e6 ranks its points by ``c x^2 - (p + q)
     x y + a y^2``, the Mahalanobis distance times ``a c - p q > 0``; the
     other paths, and every path in other dimensions, solve.  The two
     routes differ by a few ulps times that condition number, so a step
     whose h-th and (h+1)-th closed-form values lie within 1e-8 of each
-    other is ranked by the solve: the supports are the solve's.
+    other is ranked by the solve: the supports are the solve's.  Those two
+    values come from one partial selection (``np.partition`` at ``h``),
+    not a sort; the support is every point at most the h-th value, with
+    ties across the edge kept by index, the earliest first, as a stable
+    sort keeps them.  The refit has the bits of :func:`_ml_fit` on the
+    ``(b, h, d)`` stack of the support points (:func:`_support_fits`).
     Returns ``(means, covs, supports, history, steps, failed)``;
     row ``i`` of ``history`` holds the log-determinants of the first
     ``steps[i]`` refits of path ``i``.
     """
     b = owner.shape[0]
+    n, d = clouds.shape[1:]
+    cols = [np.ascontiguousarray(clouds[..., j]) for j in range(d)]
     means = np.array(means, dtype=float)
     covs = np.array(covs, dtype=float)
     supports = np.zeros((b, h), dtype=np.intp)
@@ -145,37 +213,36 @@ def _c_step_paths(clouds: np.ndarray, owner: np.ndarray, h: int,
         if live.size == 0:
             break
         own = owner[live]
-        delta = clouds[own]
-        delta -= mean[:, None, :]
-        if cov.shape[-1] == 2:
-            a, p = cov[:, 0, 0], cov[:, 0, 1]
-            q, c = cov[:, 1, 0], cov[:, 1, 1]
-            use_solve = a * c - p * q <= 1e-6 * (a + c) ** 2
-            x, y = delta[..., 0], delta[..., 1]
-            md = (c[:, None] * x * x - (p + q)[:, None] * x * y
-                  + a[:, None] * y * y)
-            order = np.argsort(md, axis=1, kind="stable")
-            if h < md.shape[1]:
+        if h == n:
+            support = np.broadcast_to(np.arange(n), (live.size, n))
+        else:
+            delta = [col[own] - mean[:, j, None]
+                     for j, col in enumerate(cols)]
+            if d == 2:
+                a, p = cov[:, 0, 0], cov[:, 0, 1]
+                q, c = cov[:, 1, 0], cov[:, 1, 1]
+                x, y = delta
+                md = (c[:, None] * x * x - (p + q)[:, None] * x * y
+                      + a[:, None] * y * y)
+                last, after = _edge_values(md, h)
                 # The routes may order distances within 1e-8 of each other
                 # apart, so the solve decides a near tie at the support's
                 # edge (the d + 1 points of a start subset all lie at
-                # distance d exactly).
-                edge = np.take_along_axis(md, order[:, h - 1:h + 1], axis=1)
-                use_solve |= edge[:, 1] - edge[:, 0] <= 1e-8 * edge[:, 1]
-            rows = np.flatnonzero(use_solve)
+                # distance d exactly).  A closed form that overflowed makes
+                # a test NaN, which fails both comparisons: that row solves.
+                rows = np.flatnonzero(~((a * c - p * q > 1e-6 * (a + c) ** 2)
+                                        & (after - last > 1e-8 * after)))
+            else:
+                md, last = np.empty((live.size, n)), np.empty(live.size)
+                rows = np.arange(live.size)
             if rows.size:
-                solved = np.linalg.solve(cov[rows],
-                                         np.swapaxes(delta[rows], 1, 2))
-                order[rows] = np.argsort(
-                    np.einsum("bij,bji->bi", delta[rows], solved),
-                    axis=1, kind="stable")
-        else:
-            md = np.einsum("bij,bji->bi", delta,
-                           np.linalg.solve(cov, np.swapaxes(delta, 1, 2)))
-            order = np.argsort(md, axis=1, kind="stable")
-        del delta
-        support = np.sort(order[:, :h], axis=1)
-        mean, cov = _ml_fit(clouds[own[:, None], support])
+                part = np.stack([t[rows] for t in delta], axis=-1)
+                md[rows] = np.einsum(
+                    "bij,bji->bi", part,
+                    np.linalg.solve(cov[rows], np.swapaxes(part, 1, 2)))
+                last[rows] = _edge_values(md[rows], h)[0]
+            support = _supports(md, last, h)
+        mean, cov = _support_fits(cols, own, support)
         sign, logdet = np.linalg.slogdet(cov)
         ok = sign > 0
         failed[live[~ok]] = True

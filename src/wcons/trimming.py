@@ -217,8 +217,9 @@ def verify_ball_property(result: TrimmedResult, ens: WeightedEnsemble,
 
     Atoms strictly inside the radius (the largest distance among atoms with
     positive weight) must keep their full renormalized weight, atoms
-    strictly outside must carry none, and at most one atom, sitting on the
-    boundary shell, may be partially kept.
+    strictly outside must carry none, atoms on the boundary shell keep
+    between none and their full weight, and at most one of them may be
+    partially kept.
     """
     check_alpha(alpha)
     lam_star = np.asarray(result.active_weights, dtype=float)
@@ -245,6 +246,10 @@ def verify_ball_property(result: TrimmedResult, ens: WeightedEnsemble,
             if lam_star[i] != 0.0:
                 violations.append(f"atom {i} strictly outside keeps "
                                   f"weight {float(lam_star[i])!r}")
+        elif not -w_tol <= lam_star[i] <= full[i] + w_tol:
+            violations.append(
+                f"atom {i} on the boundary shell keeps "
+                f"{float(lam_star[i])!r}, outside [0, {float(full[i])!r}]")
         if w_tol < lam_star[i] < full[i] - w_tol:
             partial += 1
             if abs(d[i] - radius) > shell:

@@ -504,7 +504,7 @@ class TestExitCodes:
         path = gauss_doc(tmp_path / "s.json", [(weight, mean, cov)])
         assert run_command(["barycenter", path]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: distributions[0]: ")
+        assert err.startswith(f"error: {path}: distributions[0]: ")
         assert "not numeric" in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("flags", [[], ["--normalize"]])
@@ -570,7 +570,7 @@ def failure_probe(tmp_path, probe):
 FAILURE_PROBES = {
     "non_utf8_ensemble": "can't decode byte 0xff in position 0",
     "non_utf8_grid": "can't decode byte 0xb5 in position 15",
-    "deep_document": "error: document nests too deeply",
+    "deep_document": "deep.json: document nests too deeply",
     "missing_grid": "absent.csv: No such file or directory",
     "ellipse_3d": "error: ellipse tracing requires dimension 2",
 }
@@ -599,6 +599,37 @@ class TestFailureContract:
         assert "Traceback" not in proc.stderr
         assert FAILURE_PROBES[probe] in proc.stderr
         assert not (tmp_path / "out").exists()
+
+
+class TestMalformedSecondFile:
+    # Each file of a two-file command is parsed on its own, so the error
+    # line must say which one is malformed.
+    @pytest.mark.parametrize("text, message", [
+        ("{", "invalid JSON at line 1, column 2"),
+        ('{"distributions": ' + "[" * 100_000, "document nests too deeply"),
+        ('{"distributions": []}', "'distributions' must be a non-empty array"),
+    ])
+    def test_distance_names_the_file(self, tmp_path, capsys, text, message):
+        good = gauss_doc(tmp_path / "a.json", [(1.0, [0.0], [[1.0]])])
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        assert run_command(["distance", good, str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}")
+        assert err.count("\n") == 1 and err.count(str(bad)) == 1
+
+    def test_subprocess(self, tmp_path):
+        good = gauss_doc(tmp_path / "a.json", [(1.0, [0.0], [[1.0]])])
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json", encoding="utf-8")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-m", "wcons.cli", "distance",
+                               good, str(bad)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: {bad}: invalid JSON at line 1, "
+                               f"column 1: Expecting value\n")
 
 
 class TestModuleEntryPoint:

@@ -191,6 +191,19 @@ class TestParseEnsemble:
         assert str(info.value).startswith(f"{path}: ")
         assert "can't decode byte 0xff in position 0" in str(info.value)
 
+    @pytest.mark.parametrize("text, message", [
+        ("[", "invalid JSON at line 1, column 2: Expecting value"),
+        ('{"distributions": ' + "[" * 100_000, "document nests too deeply"),
+        ('{"distributions": [1]}',
+         "distributions[0]: entry must be an object"),
+    ])
+    def test_malformed_document_is_named_once(self, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            parse_ensemble(path)
+        assert str(info.value) == f"{path}: {message}"
+
 
 class TestEmitEnsemble:
     def test_round_trip_is_exact(self):

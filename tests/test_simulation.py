@@ -377,7 +377,155 @@ class TestCStepPath:
             c_step_path(pts, 8, mean, np.array([[1.0, bad], [bad, 1.0]]))
 
 
+def start_fits(starts):
+    """Mean and maximum-likelihood covariance of each ``(b, m, d)`` start
+    stack."""
+    means = starts.mean(axis=1)
+    centered = starts - means[:, None, :]
+    return means, np.swapaxes(centered, 1, 2) @ centered / starts.shape[1]
+
+
+def random_starts(gen, clouds, owner):
+    """Fits of one random (d+1)-point subset of each path's cloud."""
+    n, d = clouds.shape[1:]
+    subsets = np.array([gen.choice(n, d + 1, replace=False) for _ in owner])
+    return start_fits(clouds[owner[:, None], subsets])
+
+
+def assert_batch_matches_reference(clouds, owner, h, means, covs):
+    """Run one batch of paths and compare every path with the one-path
+    reference loop, bit for bit; returns the batch's outputs."""
+    out = _c_step_paths(clouds, owner, h, means, covs)
+    out_means, out_covs, supports, history, steps, failed = out
+    for i in range(owner.size):
+        try:
+            ref = reference_c_step_path(clouds[owner[i]], h, means[i],
+                                        covs[i])
+        except SingularSubset:
+            assert failed[i]
+            continue
+        assert not failed[i]
+        got = (out_means[i], out_covs[i], supports[i],
+               history[i, :steps[i]].tolist())
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
+    return out
+
+
 class TestCStepKernel:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_integer_grid_ties(self, dim):
+        # Points of a 5^d integer grid repeat many times, so exact ties
+        # fall across the support edge; the support keeps the earliest
+        # tied indices, as a stable sort of the distances does.
+        gen = RngState(40 + dim).generator()
+        clouds = gen.integers(-2, 3, (8, 60, dim)).astype(float)
+        owner = np.repeat(np.arange(8), 4)
+        means, covs = random_starts(gen, clouds, owner)
+        for h in (30, 45, 59):
+            *_, steps, failed = assert_batch_matches_reference(
+                clouds, owner, h, means, covs)
+            assert steps[~failed].max() >= 2
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_support_of_d_plus_one_and_of_every_point(self, dim):
+        gen = RngState(50 + dim).generator()
+        clouds = gen.standard_normal((5, 40, dim))
+        owner = np.repeat(np.arange(5), 3)
+        means, covs = random_starts(gen, clouds, owner)
+        assert_batch_matches_reference(clouds, owner, dim + 1, means, covs)
+        *_, supports, _, steps, failed = assert_batch_matches_reference(
+            clouds, owner, 40, means, covs)
+        assert not failed.any()
+        np.testing.assert_array_equal(steps, 1)
+        np.testing.assert_array_equal(supports,
+                                      np.tile(np.arange(40), (15, 1)))
+
+    def test_solve_rows_beside_closed_form_rows(self):
+        # Clouds 3-5 lie within 1e-5 of a line, so every fit on them has
+        # condition number past 1e6 and ranks by the solve; the paths on
+        # clouds 0-2 rank by the closed form in the same steps.
+        gen = RngState(61).generator()
+        clouds = gen.standard_normal((6, 80, 2))
+        t = clouds[3:, :, 0]
+        clouds[3:, :, 1] = 0.5 * t + 1e-5 * clouds[3:, :, 1]
+        owner = np.tile(np.arange(6), 4)
+        means, covs = random_starts(gen, clouds, owner)
+        _, out_covs, _, _, steps, failed = assert_batch_matches_reference(
+            clouds, owner, 60, means, covs)
+        flat = owner >= 3
+        tr = np.trace(out_covs, axis1=1, axis2=2)
+        solved = np.linalg.det(out_covs) <= 1e-6 * tr ** 2
+        assert not failed.any()
+        np.testing.assert_array_equal(solved, flat)
+        assert steps[flat].min() >= 2 and steps[~flat].min() >= 2
+
+    @pytest.mark.parametrize("scale", [1e70, 1e150, 1e-70, 1e-150])
+    def test_huge_and_tiny_clouds(self, scale):
+        # The closed form scales the distance by the determinant, about
+        # scale^4: past 1e77 it overflows, and past 1e-77 the conditioning
+        # test underflows to 0 <= 0; either way those rows take the solve.
+        gen = RngState(62).generator()
+        clouds = scale * gen.standard_normal((4, 50, 2))
+        owner = np.repeat(np.arange(4), 3)
+        means, covs = random_starts(gen, clouds, owner)
+        with np.errstate(over="ignore", invalid="ignore"):
+            *_, failed = assert_batch_matches_reference(clouds, owner, 35,
+                                                        means, covs)
+        assert not failed.any()
+
+    def test_overflowing_distances_beyond_the_edge(self):
+        # Five far points per cloud have distances that overflow to inf,
+        # or NaN (inf - inf), in both routes; they rank last either way.
+        gen = RngState(63).generator()
+        clouds = gen.standard_normal((4, 50, 2))
+        clouds[:, -5:] = 1e200 * np.sign(gen.standard_normal((4, 5, 2)))
+        owner = np.repeat(np.arange(4), 3)
+        means = 0.2 * gen.standard_normal((owner.size, 2))
+        covs = np.array([random_spd(2, 10.0, gen).entries
+                         for _ in range(owner.size)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            *_, supports, _, _, failed = assert_batch_matches_reference(
+                clouds, owner, 40, means, covs)
+        assert not failed.any() and supports.max() < 45
+
+    def test_batch_down_to_one_live_path(self):
+        # Paths that start at their cloud's own full fit repeat at once;
+        # one path from a far start keeps stepping on its own.
+        gen = RngState(64).generator()
+        clouds = gen.standard_normal((3, 60, 2))
+        clouds[2, :20] += 6.0
+        means, covs = start_fits(clouds)
+        owner = np.array([0, 1, 2, 2])
+        means = np.vstack([means, [[6.0, 6.0]]])
+        covs = np.vstack([covs, 0.01 * np.eye(2)[None]])
+        *_, steps, failed = assert_batch_matches_reference(
+            clouds, owner, 40, means, covs)
+        assert not failed.any()
+        assert np.sort(steps)[-1] > np.sort(steps)[-2] + 1
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_batch_equals_per_cloud_batches(self, dim):
+        # Forty clouds with five starts each, as one batch, as five-path
+        # batches per cloud and as one path at a time.
+        gen = RngState(65 + dim).generator()
+        clouds = gen.standard_normal((40, 50, dim))
+        clouds[:, :10] += 5.0
+        owner = np.repeat(np.arange(40), 5)
+        means, covs = random_starts(gen, clouds, owner)
+        whole = _c_step_paths(clouds, owner, 40, means, covs)
+        for c in range(40):
+            rows = np.flatnonzero(owner == c)
+            per_cloud = _c_step_paths(clouds[c:c + 1], np.zeros(5, np.intp),
+                                      40, means[rows], covs[rows])
+            for got, want in zip(per_cloud, whole):
+                np.testing.assert_array_equal(got, want[rows])
+            for k in rows:
+                one = _c_step_paths(clouds[c:c + 1], np.zeros(1, np.intp), 40,
+                                    means[k:k + 1], covs[k:k + 1])
+                for got, want in zip(one, whole):
+                    np.testing.assert_array_equal(got, want[k:k + 1])
+
     def test_mixed_batch_matches_sequential_paths(self):
         # Path 2 starts from an exactly singular covariance and path 4 can
         # only refit on coincident points (determinant sign 0).  Path 5

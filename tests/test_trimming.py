@@ -498,6 +498,35 @@ class TestBallProperty:
         assert not check.ok
         assert message in check.violations
 
+    @pytest.mark.parametrize("weights, atoms", [
+        ([0.4, 1.0 / 3.0, 1.0 - 0.4 - 1.0 / 3.0, 0.0], (0,)),   # 0.2667
+        ([0.7, 1.0 / 3.0, 1.0 - 0.7 - 1.0 / 3.0, 0.0], (0, 2)),  # -0.0333
+    ])
+    def test_shell_weight_outside_its_bounds_fails(self, weights, atoms):
+        # Atoms 0 and 2 sit on the unit shell; each vector sums to one
+        # within the tolerance and has at most one partial atom, so only
+        # the bound on a shell atom's weight rejects it.
+        ens = WeightedEnsemble.equal_weights(
+            tuple(gauss_1d(m, 1.0) for m in (-1.0, 0.0, 1.0, 10.0)))
+        res = trimmed_barycenter(ens, TrimConfig(alpha=0.25, restarts=2))
+        forged = dataclasses.replace(res, active_weights=np.array(weights))
+        check = verify_ball_property(forged, ens, 0.25)
+        assert not check.ok
+        assert check.violations == tuple(
+            f"atom {i} on the boundary shell keeps {weights[i]!r}, "
+            f"outside [0, 0.3333333333333333]" for i in atoms)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.3, 0.5])
+    def test_partial_shell_weights_of_solves_pass(self, alpha):
+        # A genuine solve keeps min(target - below, w_i) / target on its
+        # partial atom, never more than the full weight.
+        for seed in range(6):
+            ens = random_ensemble(np.random.default_rng([31, seed]), 7, 2)
+            res = trimmed_barycenter(ens, TrimConfig(alpha=alpha, restarts=3))
+            full = ens.weights / (1.0 - alpha)
+            assert np.all(res.active_weights <= full * (1 + 1e-12))
+            assert verify_ball_property(res, ens, alpha).ok
+
 
 class TestVarianceCurve:
     def test_single_zero_alpha(self):
