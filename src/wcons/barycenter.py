@@ -19,7 +19,10 @@ A 2 x 2 PSD M has M^{1/2} = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)),
 so with R = S^{1/2}, s_j = sqrt(det S det S_j) and t_j = sqrt(tr(S S_j) +
 2 s_j), the planar Bures cross terms, sum_j lam_j (R S_j R)^{1/2} = R A R
 + sigma I with A = sum_j (lam_j / t_j) S_j and sigma = sum_j lam_j s_j /
-t_j; the next iterate is A S A + 2 sigma A + sigma^2 S^{-1}.
+t_j; the next iterate is A S A + 2 sigma A + sigma^2 S^{-1}.  Only the
+cross terms and the sums over the members are arrays: the iterate, its
+certified eigenpairs, the 2 x 2 products, the norms and the Anderson
+update below are Python floats.
 
 The iteration converges linearly, so the solver accelerates it with type-II
 Anderson mixing (Walker & Ni 2011): each plain step G(S) is corrected by the
@@ -35,6 +38,7 @@ certificate as one from the plain iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +47,8 @@ from .errors import (DimensionMismatch, MaxIterationsExceeded,
                      NotPositiveDefinite, check_count, check_positive,
                      check_weights)
 from .locscatter import LocScatter, _bures_sq, _planar_cross, _planar_stack
-from .spd import (SpdMatrix, SymMatrix, _rebuild, certify_spd, spd_exp,
-                  spd_log, sqrt_psd_batch)
+from .spd import (SpdMatrix, SymMatrix, _certify_planar, _planar_spd,
+                  certify_spd, spd_exp, spd_log, sqrt_psd_batch)
 
 __all__ = [
     "WeightedEnsemble",
@@ -60,7 +64,6 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1000
 # Number of earlier steps the Anderson extrapolation mixes.
 ANDERSON_DEPTH = 8
-_EYE2 = np.eye(2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,22 +125,9 @@ class BarycenterResult:
     variance: float
 
 
-def _scatter_step(spd: SpdMatrix, covs: np.ndarray, lam: np.ndarray,
-                  planar):
-    """One step of the scatter iteration from ``spd``, in closed form at
-    d = 2 with ``planar = _planar_stack(covs)`` (else None); returns the
+def _scatter_step(spd: SpdMatrix, covs: np.ndarray, lam: np.ndarray):
+    """One step of the scatter iteration from ``spd`` (d != 2); returns the
     weighted mean of the transported roots and the next iterate."""
-    if planar is not None:
-        root_det, t = _planar_cross(spd, planar)
-        w = lam / t
-        a = (w @ planar[0]).reshape(2, 2)
-        sigma = float(w @ root_det)
-        r1, r2 = np.sqrt(spd.eigenvalues).tolist()
-        root = (spd.entries + r1 * r2 * _EYE2) / (r1 + r2)
-        mixed = root @ a @ root + sigma * _EYE2
-        inv = _rebuild(spd.eigenvectors, 1.0 / spd.eigenvalues)
-        s_next = a @ spd.entries @ a + 2.0 * sigma * a + sigma * sigma * inv
-        return 0.5 * (mixed + mixed.T), 0.5 * (s_next + s_next.T)
     root = spd.sqrt()
     inv_root = spd.inv_sqrt()
     inner = root @ covs @ root
@@ -145,6 +135,41 @@ def _scatter_step(spd: SpdMatrix, covs: np.ndarray, lam: np.ndarray,
     mixed = 0.5 * (mixed + mixed.T)
     s_next = inv_root @ (mixed @ mixed) @ inv_root
     return mixed, 0.5 * (s_next + s_next.T)
+
+
+def _planar_step(s, eig, lam: np.ndarray, planar):
+    """The d = 2 step from ``S = [[a, b], [b, c]]``, ``s = (a, b, c)``,
+    certified as ``eig = _certify_planar(*s)``, with ``planar =
+    _planar_stack(covs)``: the weighted mean of the transported roots, R A
+    R + sigma I, and the next iterate, A S A + 2 sigma A + sigma^2 S^{-1},
+    each as ``(a, b, c)``.  Only the cross terms and the sums over the
+    members are arrays."""
+    a, b, c = s
+    (l1, l2), (v00, v01, v10, v11) = eig
+    root_det, t = _planar_cross(s, l1 * l2, planar)
+    w = lam / t
+    p, q, _, r = (w @ planar[0]).tolist()
+    sigma = float(w @ root_det)
+    # R = S^{1/2} = (S + sqrt(det S) I) / (sqrt(l1) + sqrt(l2)), then R A R.
+    r1, r2 = math.sqrt(l1), math.sqrt(l2)
+    rd, h = r1 * r2, r1 + r2
+    x, y, z = (a + rd) / h, b / h, (c + rd) / h
+    u00, u01 = x * p + y * q, x * q + y * r
+    u10, u11 = y * p + z * q, y * q + z * r
+    mixed = (u00 * x + u01 * y + sigma, u00 * y + u01 * z,
+             u10 * y + u11 * z + sigma)
+    # S^{-1} from the certified eigenpairs, and A S A.
+    i1, i2 = 1.0 / l1, 1.0 / l2
+    e00, e01 = p * a + q * b, p * b + q * c
+    e10, e11 = q * a + r * b, q * b + r * c
+    s2, ss = 2.0 * sigma, sigma * sigma
+    s_next = (e00 * p + e01 * q + s2 * p
+              + ss * (v00 * i1 * v00 + v01 * i2 * v01),
+              e00 * q + e01 * r + s2 * q
+              + ss * (v00 * i1 * v10 + v01 * i2 * v11),
+              e10 * q + e11 * r + s2 * r
+              + ss * (v10 * i1 * v10 + v11 * i2 * v11))
+    return mixed, s_next
 
 
 def _extrapolate(s_next: np.ndarray, f: np.ndarray, dg: np.ndarray,
@@ -164,21 +189,71 @@ def _extrapolate(s_next: np.ndarray, f: np.ndarray, dg: np.ndarray,
     return 0.5 * (cand + cand.T)
 
 
-def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
-                tol: float, max_iter: int,
-                start: np.ndarray | None = None) -> BarycenterResult:
-    """Barycenter of the stacked members ``means``, ``covs`` weighted by
-    ``lam``; the accelerated scatter iteration starts from ``start`` or, by
-    default, the weighted mean of the scatters.  A single atom is its own
-    barycenter: it starts at its scatter whatever ``start`` says and
-    returns at step 0 with the residual that step measured."""
-    single = lam.shape[0] == 1
-    if single or start is None:
-        s = np.einsum("k,kij->ij", lam, covs)
-    else:
-        s = start
+def _gram_solve(gram, rhs) -> list | None:
+    """Solution of the symmetric system ``gram @ x = rhs`` of size 1 to 3
+    by its LDL^T factorization, read from the lower triangle; ``None`` when
+    a pivot is exactly zero, as ``np.linalg.solve`` raises on an exactly
+    zero LU pivot.  Gram matrices are symmetric positive semidefinite,
+    where LDL^T needs no pivoting to be stable."""
+    m = len(rhs)
+    a = gram[0][0]
+    if a == 0.0:
+        return None
+    if m == 1:
+        return [rhs[0] / a]
+    b = gram[1][0]
+    l21 = b / a
+    d2 = gram[1][1] - l21 * b
+    if d2 == 0.0:
+        return None
+    y2 = rhs[1] - l21 * rhs[0]
+    if m == 2:
+        x2 = y2 / d2
+        return [rhs[0] / a - l21 * x2, x2]
+    c = gram[2][0]
+    l31 = c / a
+    e = gram[2][1] - l31 * b
+    l32 = e / d2
+    d3 = gram[2][2] - l31 * c - l32 * e
+    if d3 == 0.0:
+        return None
+    x3 = (rhs[2] - l31 * rhs[0] - l32 * y2) / d3
+    x2 = y2 / d2 - l32 * x3
+    return [rhs[0] / a - l21 * x2 - l31 * x3, x2, x3]
+
+
+def _planar_dot(u, v) -> float:
+    """Frobenius inner product of symmetric 2 x 2 matrices held as
+    ``(a, b, c)``."""
+    return u[0] * v[0] + 2.0 * (u[1] * v[1]) + u[2] * v[2]
+
+
+def _planar_extrapolate(g, f, history):
+    """:func:`_extrapolate` on ``(a, b, c)`` floats: ``history`` holds the
+    ``(dg, df)`` pairs, and the Gram system is solved by
+    :func:`_gram_solve`."""
+    dfs = [d for _, d in history]
+    gamma = _gram_solve(
+        [[_planar_dot(u, v) for v in dfs[:i + 1]] for i, u in enumerate(dfs)],
+        [_planar_dot(u, f) for u in dfs])
+    if gamma is None or not all(map(math.isfinite, gamma)):
+        return None
+    a, b, c = g
+    for x, (dg, _) in zip(gamma, history):
+        a, b, c = a - x * dg[0], b - x * dg[1], c - x * dg[2]
+    return a, b, c
+
+
+def _planar_gap(u, v, norm: float) -> float:
+    """Relative Frobenius distance of ``(a, b, c)`` matrices."""
+    return math.hypot(u[0] - v[0], u[1] - v[1], u[1] - v[1],
+                      u[2] - v[2]) / norm
+
+
+def _general_solve(lam, covs, s, tol, max_iter, single):
+    """The accelerated iteration on arrays (d != 2); returns the certified
+    iterate at the stop, the step count and the residual."""
     d = s.shape[0]
-    planar = _planar_stack(covs)
     # Differences of symmetric matrices span d (d + 1) / 2 dimensions; more
     # pairs than that would make the Gram matrix singular.
     depth = min(ANDERSON_DEPTH, d * (d + 1) // 2)
@@ -190,15 +265,12 @@ def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
     for step in range(max_iter + 1):
         if spd is None:
             spd = certify_spd(s)
-        mixed, s_next = _scatter_step(spd, covs, lam, planar)
+        mixed, s_next = _scatter_step(spd, covs, lam)
         norm_s = np.linalg.norm(s)
         residual = np.linalg.norm(mixed - s) / norm_s
         change = np.linalg.norm(s_next - s) / norm_s
         if single or (change < tol and residual <= 10.0 * tol):
-            bary = LocScatter(lam @ means, spd)
-            return BarycenterResult(
-                bary=bary, iterations=step, residual=float(residual),
-                variance=float(lam @ _bures_sq(bary, means, covs)))
+            return spd, step, float(residual)
         g = s_next.ravel()
         f = g - s.ravel()
         if last is not None:
@@ -224,6 +296,76 @@ def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
         f"scatter iteration did not converge in {max_iter} steps "
         f"(residual {residual:.3e})",
         last_iterate=s, residual=float(residual))
+
+
+def _planar_solve(lam, planar, s, tol, max_iter, single):
+    """:func:`_general_solve` at d = 2, with the iterate, its eigenpairs
+    and the Anderson history on floats."""
+    x, p, q, z = s.ravel().tolist()
+    s = (x, (p + q) * 0.5, z)
+    depth = min(ANDERSON_DEPTH, 3)
+    history = [None] * depth
+    pairs = 0
+    last = None
+    eig = None
+    for step in range(max_iter + 1):
+        if eig is None:
+            eig = _certify_planar(*s)
+        mixed, s_next = _planar_step(s, eig, lam, planar)
+        norm_s = math.hypot(s[0], s[1], s[1], s[2])
+        residual = _planar_gap(mixed, s, norm_s)
+        if single or (_planar_gap(s_next, s, norm_s) < tol
+                      and residual <= 10.0 * tol):
+            return _planar_spd(s, *eig), step, residual
+        f = (s_next[0] - s[0], s_next[1] - s[1], s_next[2] - s[2])
+        if last is not None:
+            history[pairs % depth] = (
+                tuple(u - v for u, v in zip(s_next, last[0])),
+                tuple(u - v for u, v in zip(f, last[1])))
+            pairs += 1
+        last = s_next, f
+        s, eig = s_next, None
+        if pairs:
+            cand = _planar_extrapolate(s_next, f,
+                                       history[:min(pairs, depth)])
+            if cand is not None:
+                try:
+                    s, eig = cand, _certify_planar(*cand)
+                except NotPositiveDefinite:
+                    pass
+            if eig is None:
+                pairs = 0
+    a, b, c = s
+    raise MaxIterationsExceeded(
+        f"scatter iteration did not converge in {max_iter} steps "
+        f"(residual {residual:.3e})",
+        last_iterate=np.array([[a, b], [b, c]]), residual=residual)
+
+
+def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
+                tol: float, max_iter: int,
+                start: np.ndarray | None = None) -> BarycenterResult:
+    """Barycenter of the stacked members ``means``, ``covs`` weighted by
+    ``lam``; the accelerated scatter iteration starts from ``start`` or, by
+    default, the weighted mean of the scatters.  A single atom is its own
+    barycenter: it starts at its scatter whatever ``start`` says and
+    returns at step 0 with the residual that step measured."""
+    single = lam.shape[0] == 1
+    if single or start is None:
+        s = np.einsum("k,kij->ij", lam, covs)
+    else:
+        s = start
+    planar = _planar_stack(covs)
+    if planar is None:
+        spd, step, residual = _general_solve(lam, covs, s, tol, max_iter,
+                                             single)
+    else:
+        spd, step, residual = _planar_solve(lam, planar, s, tol, max_iter,
+                                            single)
+    bary = LocScatter(lam @ means, spd)
+    return BarycenterResult(
+        bary=bary, iterations=step, residual=residual,
+        variance=float(lam @ _bures_sq(bary, means, covs, planar)))
 
 
 def fixed_point_barycenter(ens: WeightedEnsemble, tol: float = DEFAULT_TOL,
@@ -257,9 +399,15 @@ def g_map(ens: WeightedEnsemble, eta: LocScatter) -> LocScatter:
     if eta.dim != ens.dim:
         raise DimensionMismatch(f"reference has dimension {eta.dim}, "
                                 f"ensemble {ens.dim}")
-    covs = ens.covs()
-    _, cov = _scatter_step(eta.cov, covs, ens.weights, _planar_stack(covs))
-    return LocScatter(ens.weights @ ens.means(), certify_spd(cov))
+    covs, lam = ens.covs(), ens.weights
+    if eta.dim == 2:
+        a, b, _, c = eta.cov.entries.ravel().tolist()
+        a, b, c = _planar_step((a, b, c), _certify_planar(a, b, c), lam,
+                               _planar_stack(covs))[1]
+        cov = np.array([[a, b], [b, c]])
+    else:
+        cov = _scatter_step(eta.cov, covs, lam)[1]
+    return LocScatter(lam @ ens.means(), certify_spd(cov))
 
 
 def barycenter_variance(ens: WeightedEnsemble, candidate: LocScatter) -> float:

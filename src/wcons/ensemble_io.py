@@ -9,7 +9,8 @@ with the label optional.  Quantile grids travel as single-column CSV files
 with header ``quantile_value``.  Floats are emitted with Python's shortest
 round-trip representation, so emitted files are byte-stable and parse back
 to the exact same doubles.  A file that cannot be read or decoded as UTF-8,
-or whose document is malformed, is a :class:`ParseError` naming its path.
+or whose document is malformed, is a :class:`ParseError` naming its path;
+any other error raised inside the document names the path as well.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barycenter import WeightedEnsemble
-from .errors import BadWeights, NotPositiveDefinite, ParseError
+from .errors import (BadWeights, InvalidInput, NotPositiveDefinite,
+                     ParseError)
 from .locscatter import LocScatter
 from .spd import certify_spd
 from .univariate import QuantileGrid
@@ -138,12 +140,15 @@ def parse_ensemble_text(text: str, normalize: bool = False) -> EnsembleDocument:
 def parse_ensemble(path, normalize: bool = False) -> EnsembleDocument:
     """Parse an ensemble document from a file path; a file that cannot be
     read, and a malformed document, raise :class:`ParseError` naming the
-    path."""
+    path.  Every other error the document raises (a scatter that is not
+    positive definite, bad weights) keeps its type and names the path
+    too."""
     text = _read_text(path)
     try:
         return parse_ensemble_text(text, normalize=normalize)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    except (ParseError, InvalidInput, NotPositiveDefinite) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def loc_scatter_obj(p: LocScatter) -> dict:

@@ -21,6 +21,7 @@ comes out near zero or below it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,7 @@ class LocScatter:
         m = np.array(self.mean, dtype=float)
         if m.ndim != 1:
             raise InvalidInput(f"mean must be a vector, got shape {m.shape}")
-        if not np.isfinite(m).all():
+        if not all(map(math.isfinite, m.tolist())):
             raise InvalidInput("mean has non-finite entries")
         if m.shape[0] != self.cov.dim:
             raise DimensionMismatch(
@@ -82,39 +83,50 @@ class AffineMap:
 
 
 def _planar_stack(covs: np.ndarray):
-    """Rows ``(a, b, b, c)`` of 2 x 2 scatters, determinants; None off d = 2."""
+    """Rows ``(a, b, b, c)``, determinants and traces of 2 x 2 scatters;
+    None off d = 2."""
     if covs.shape[-1] != 2:
         return None
     flat = covs.reshape(-1, 4)
-    return flat, flat[:, 0] * flat[:, 3] - flat[:, 2] * flat[:, 2]
+    return (flat, flat[:, 0] * flat[:, 3] - flat[:, 2] * flat[:, 2],
+            flat[:, 0] + flat[:, 3])
 
 
-def _planar_cross(spd: SpdMatrix, planar) -> tuple[np.ndarray, np.ndarray]:
+def _planar_cross(s, det: float, planar) -> tuple[np.ndarray, np.ndarray]:
     """``s_j = sqrt(det S det S_j)`` and ``t_j = sqrt(tr(S S_j) + 2 s_j)`` =
-    ``tr((S^{1/2} S_j S^{1/2})^{1/2})`` for ``planar = _planar_stack(covs)``."""
-    flat, dets = planar
-    l1, l2 = spd.eigenvalues.tolist()
-    root_det = np.sqrt(np.maximum((l1 * l2) * dets, 0.0))
-    return root_det, np.sqrt(flat @ spd.entries.ravel() + 2.0 * root_det)
+    ``tr((S^{1/2} S_j S^{1/2})^{1/2})`` for ``S = [[a, b], [b, c]]`` given
+    as ``s = (a, b, c)``, ``det = det S`` and ``planar =
+    _planar_stack(covs)``."""
+    flat, dets = planar[:2]
+    a, b, c = s
+    root_det = np.sqrt(np.maximum(det * dets, 0.0))
+    return root_det, np.sqrt(flat @ (a, b, b, c) + 2.0 * root_det)
 
 
-def _bures_sq(center: LocScatter, means: np.ndarray,
-              covs: np.ndarray) -> np.ndarray:
+def _bures_sq(center: LocScatter, means: np.ndarray, covs: np.ndarray,
+              planar=None) -> np.ndarray:
     """Squared distances from ``center`` to the stacked members
     ``means (k, d)``, ``covs (k, d, d)``, clamped as in :func:`w2_distance_sq`.
-    Raises ``ArithmeticError`` when a distance is not finite (it overflowed)."""
+    At d = 2, ``planar`` is ``_planar_stack(covs)`` when the caller holds
+    it (formed here otherwise).  Raises ``ArithmeticError`` when a distance
+    is not finite (it overflowed)."""
     check_same_dim(center.dim, means.shape[1], covs.shape[2])
     with np.errstate(over="ignore", invalid="ignore"):
         if center.dim == 2:
-            cross = 2.0 * _planar_cross(center.cov, _planar_stack(covs))[1]
+            if planar is None:
+                planar = _planar_stack(covs)
+            a, b, _, c = center.cov.entries.ravel().tolist()
+            l1, l2 = center.cov.eigenvalues.tolist()
+            cross = 2.0 * _planar_cross((a, b, c), l1 * l2, planar)[1]
+            traces = planar[2] + (a + c)
         else:
             root = center.cov.sqrt()
             inner = root @ covs @ root
             inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
             w = np.linalg.eigvalsh(inner)
             cross = 2.0 * np.sqrt(np.maximum(w, 0.0)).sum(axis=1)
+            traces = np.trace(covs, axis1=1, axis2=2) + center.cov.trace()
         gaps = ((means - center.mean) ** 2).sum(axis=1)
-        traces = np.trace(covs, axis1=1, axis2=2) + center.cov.trace()
         out = gaps + traces - cross
     if not np.isfinite(out).all():
         raise ArithmeticError("squared distance is not finite")

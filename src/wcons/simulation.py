@@ -222,16 +222,18 @@ def _c_step_paths(clouds: np.ndarray, owner: np.ndarray, h: int,
                 a, p = cov[:, 0, 0], cov[:, 0, 1]
                 q, c = cov[:, 1, 0], cov[:, 1, 1]
                 x, y = delta
-                md = (c[:, None] * x * x - (p + q)[:, None] * x * y
-                      + a[:, None] * y * y)
-                last, after = _edge_values(md, h)
                 # The routes may order distances within 1e-8 of each other
                 # apart, so the solve decides a near tie at the support's
                 # edge (the d + 1 points of a start subset all lie at
                 # distance d exactly).  A closed form that overflowed makes
                 # a test NaN, which fails both comparisons: that row solves.
-                rows = np.flatnonzero(~((a * c - p * q > 1e-6 * (a + c) ** 2)
-                                        & (after - last > 1e-8 * after)))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    md = (c[:, None] * x * x - (p + q)[:, None] * x * y
+                          + a[:, None] * y * y)
+                    last, after = _edge_values(md, h)
+                    rows = np.flatnonzero(
+                        ~((a * c - p * q > 1e-6 * (a + c) ** 2)
+                          & (after - last > 1e-8 * after)))
             else:
                 md, last = np.empty((live.size, n)), np.empty(live.size)
                 rows = np.arange(live.size)

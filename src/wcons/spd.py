@@ -15,7 +15,8 @@ rotation), carried out on Python floats.  The root of larger magnitude is
 diagonal entries of larger and smaller magnitude, and the rotation
 ``(cs, sn)`` gives the eigenvector columns.  Matrices whose largest entry
 lies outside [1e-120, 1e140], where ``dsyevd`` rescales first, still call
-``eigh``.
+``eigh``.  A 2 x 2 matrix is also symmetrized and certified on Python
+floats (:func:`_certify_planar`), with the bits of the array route.
 """
 
 from __future__ import annotations
@@ -112,14 +113,15 @@ def _planar_eigen(a: float, b: float, c: float):
     The negligible off-diagonal test of ``dsteqr`` and the ``dlaev2``
     formulas, in the same operation order, so the result is what ``eigh``
     returns; ``rt1`` is the root of larger magnitude and ``(cs, sn)`` its
-    unit eigenvector.  Returns ``(values, vectors)`` ordered as
-    :func:`sym_eigen` orders them.
+    unit eigenvector.  Returns ``(values, vectors)`` as float tuples
+    ordered as :func:`sym_eigen` orders them, the vectors matrix row by
+    row.
     """
     if (b == 0.0 or abs(b) <= math.sqrt(abs(a)) * math.sqrt(abs(c)) * _EPS
             or b * b <= _EPS * _EPS * abs(a) * abs(c) + _SAFMIN):
         if a >= c:
-            return np.array([a, c]), np.eye(2)
-        return np.array([c, a]), np.array([[0.0, 1.0], [1.0, 0.0]])
+            return (a, c), (1.0, 0.0, 0.0, 1.0)
+        return (c, a), (0.0, 1.0, 1.0, 0.0)
     sm = a + c
     df = a - c
     adf = abs(df)
@@ -154,8 +156,19 @@ def _planar_eigen(a: float, b: float, c: float):
     if (sm < 0.0) == (df < 0.0):
         cs1, sn = -sn, cs1
     if rt1 >= rt2:
-        return np.array([rt1, rt2]), np.array([[cs1, -sn], [sn, cs1]])
-    return np.array([rt2, rt1]), np.array([[-sn, cs1], [cs1, sn]])
+        return (rt1, rt2), (cs1, -sn, sn, cs1)
+    return (rt2, rt1), (-sn, cs1, cs1, sn)
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sym_eigen` through LAPACK's ``eigh``."""
+    if not np.isfinite(a).all():
+        raise InvalidInput("matrix has non-finite entries")
+    w, v = np.linalg.eigh(a)
+    if (w[1:] > w[:-1]).all():
+        return w[::-1].copy(), v[:, ::-1].copy()
+    order = np.argsort(-w, kind="stable")
+    return w[order], v[:, order]
 
 
 def sym_eigen(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -169,16 +182,21 @@ def sym_eigen(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
     a = m.entries
     if a.shape[0] == 2:
         a00, _, b, c = a.ravel().tolist()
-        if (math.isfinite(a00 + b + c)
-                and 1e-120 <= max(abs(a00), abs(b), abs(c)) <= 1e140):
-            return _planar_eigen(a00, b, c)
-    if not np.isfinite(a).all():
-        raise InvalidInput("matrix has non-finite entries")
-    w, v = np.linalg.eigh(a)
-    if (w[1:] > w[:-1]).all():
-        return w[::-1].copy(), v[:, ::-1].copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+        values, vectors = _planar_pairs(a00, b, c)
+        return np.array(values), np.array(vectors).reshape(2, 2)
+    return _eigh(a)
+
+
+def _planar_pairs(a: float, b: float, c: float):
+    """Eigenpairs of ``[[a, b], [b, c]]`` as float tuples, as
+    :func:`_planar_eigen` returns them; from ``eigh`` when the largest
+    magnitude lies outside [1e-120, 1e140], where ``dsyevd`` rescales
+    first, or an entry is not finite."""
+    if (math.isfinite(a + b + c)
+            and 1e-120 <= max(abs(a), abs(b), abs(c)) <= 1e140):
+        return _planar_eigen(a, b, c)
+    w, v = _eigh(np.array([[a, b], [b, c]]))
+    return tuple(w.tolist()), tuple(v.ravel().tolist())
 
 
 def _rebuild(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -187,21 +205,57 @@ def _rebuild(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
     return 0.5 * (b + b.T)
 
 
-def certify_spd(m: SymMatrix | np.ndarray) -> SpdMatrix:
-    """Certify a symmetric matrix as positive definite.
+def _certify_planar(a: float, b: float, c: float):
+    """Certify the symmetric ``[[a, b], [b, c]]`` as positive definite, on
+    floats: its :func:`_planar_pairs`, or :class:`NotPositiveDefinite` as
+    :func:`certify_spd` raises it."""
+    values, vectors = _planar_pairs(a, b, c)
+    _check_floor(values)
+    return values, vectors
 
-    The smallest eigenvalue must clear ``pd_floor``; otherwise
-    :class:`NotPositiveDefinite` is raised carrying that eigenvalue.
-    """
-    if not isinstance(m, SymMatrix):
-        m = SymMatrix(m)
-    w, v = sym_eigen(m)
-    values = w.tolist()
+
+def _check_floor(values) -> None:
+    """Raise :class:`NotPositiveDefinite` unless the smallest of the
+    descending ``values`` clears ``pd_floor``."""
     smallest = values[-1]
     if smallest <= pd_floor(values):
         raise NotPositiveDefinite(
             f"smallest eigenvalue {smallest:.6g} is not safely positive",
             min_eigenvalue=smallest)
+
+
+def _planar_spd(s, values, vectors) -> SpdMatrix:
+    """The :class:`SpdMatrix` of ``s = (a, b, c)`` certified by
+    :func:`_certify_planar` as ``values``, ``vectors``."""
+    a, b, c = s
+    parts = (np.array([[a, b], [b, c]]), np.array(values),
+             np.array(vectors).reshape(2, 2))
+    for x in parts:
+        x.setflags(write=False)
+    return SpdMatrix(*parts)
+
+
+def certify_spd(m: SymMatrix | np.ndarray) -> SpdMatrix:
+    """Certify a symmetric matrix as positive definite.
+
+    The input is symmetrized as :class:`SymMatrix` does.  The smallest
+    eigenvalue must clear ``pd_floor``; otherwise
+    :class:`NotPositiveDefinite` is raised carrying that eigenvalue.
+    """
+    if isinstance(m, SymMatrix):
+        a = m.entries
+    else:
+        a = np.asarray(m, dtype=float)
+    if a.shape == (2, 2):
+        # The symmetrization of SymMatrix, entry by entry; on a SymMatrix's
+        # entries it changes no bit.
+        a00, a01, a10, a11 = a.ravel().tolist()
+        s = ((a00 + a00) * 0.5, (a01 + a10) * 0.5, (a11 + a11) * 0.5)
+        return _planar_spd(s, *_certify_planar(*s))
+    if not isinstance(m, SymMatrix):
+        m = SymMatrix(a)
+    w, v = sym_eigen(m)
+    _check_floor(w.tolist())
     w.setflags(write=False)
     v.setflags(write=False)
     return SpdMatrix(m.entries, w, v)

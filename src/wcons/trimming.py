@@ -25,7 +25,7 @@ from .barycenter import (DEFAULT_MAX_ITER, DEFAULT_TOL, WeightedEnsemble,
                          _barycenter)
 from .errors import (BadWeights, DegenerateTrim, InvalidInput,
                      UnsupportedConfiguration, check_alpha, check_count)
-from .locscatter import LocScatter, _bures_sq
+from .locscatter import LocScatter, _bures_sq, _planar_stack
 from .rng import RngState
 
 __all__ = [
@@ -128,13 +128,14 @@ def _warm_start(solved: dict, lam_star: np.ndarray) -> np.ndarray | None:
 
 
 def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int,
-                  solved: dict):
+                  solved: dict, planar=None):
     """One multistart path; returns (bary, weights, variance, history).
 
     ``solved`` maps the bytes of a kept-weight vector to its barycenter
     solve, in the order solved; the path reuses an entry instead of
     solving that set again, warm-starts the solves it makes from it and
-    adds them.
+    adds them.  ``planar``, the ensemble's ``_planar_stack`` at d = 2,
+    serves every distance the path takes.
     """
     gen = RngState(cfg.seed).split(index).generator()
     center = ens.members[int(gen.integers(ens.size))]
@@ -143,8 +144,8 @@ def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int,
     var = None
     history: list[float] = []
     for _ in range(OUTER_MAX_ITER):
-        lam_star = trim_weights(_bures_sq(center, means, covs), ens.weights,
-                                cfg.alpha)
+        lam_star = trim_weights(_bures_sq(center, means, covs, planar),
+                                ens.weights, cfg.alpha)
         if lam_final is not None and np.array_equal(lam_star, lam_final):
             break
         key = lam_star.tobytes()
@@ -168,9 +169,10 @@ def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int,
 def _trimmed_result(ens: WeightedEnsemble, bary: LocScatter,
                     lam_star: np.ndarray, variance: float,
                     outer_iterations: int, restart_index: int,
-                    history, restart_variances) -> TrimmedResult:
+                    history, restart_variances,
+                    planar=None) -> TrimmedResult:
     """Package a solution; the radius is measured over the kept atoms."""
-    d2 = _bures_sq(bary, ens.means(), ens.covs())
+    d2 = _bures_sq(bary, ens.means(), ens.covs(), planar)
     return TrimmedResult(bary=bary, active_weights=lam_star,
                          trimmed_variance=float(variance),
                          outer_iterations=outer_iterations,
@@ -194,12 +196,14 @@ def trimmed_barycenter(ens: WeightedEnsemble, cfg: TrimConfig) -> TrimmedResult:
     ensemble and the config.
     """
     solved: dict = {}
-    paths = [_restart_path(ens, cfg, r, solved) for r in range(cfg.restarts)]
+    planar = _planar_stack(ens.covs())
+    paths = [_restart_path(ens, cfg, r, solved, planar)
+             for r in range(cfg.restarts)]
     finals = [p[2] for p in paths]
     best = min(range(cfg.restarts), key=finals.__getitem__)
     center, lam_star, var, history = paths[best]
     return _trimmed_result(ens, center, lam_star, var, len(history), best,
-                           history, finals)
+                           history, finals, planar)
 
 
 @dataclass(frozen=True)

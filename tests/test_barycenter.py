@@ -22,12 +22,26 @@ from wcons import (BadWeights, DimensionMismatch, InvalidInput, LocScatter,
                    gaussian_parameter_law, gaussian_quantiles,
                    linear_mean, log_euclidean_mean, quantile_barycenter,
                    trimmed_barycenter, variance_1d, w2_distance_sq)
-from wcons.barycenter import BarycenterResult, _barycenter, _scatter_step
+from wcons.barycenter import (BarycenterResult, _barycenter, _planar_gap,
+                              _planar_step, _scatter_step)
 from wcons.locscatter import _bures_sq, _planar_stack
+from wcons.spd import _certify_planar
 
 from helpers import (ENVELOPE, commuting_ensemble, directional_sigmas, gauss,
                      gauss_1d, planar_psd, random_ensemble, random_member,
                      random_orthogonal, sigma_trio, wide_grid)
+
+
+def as_matrix(s):
+    a, b, c = s
+    return np.array([[a, b], [b, c]])
+
+
+def planar_step(spd, covs, lam):
+    """The float step from a certified 2 x 2 scatter, as 2 x 2 arrays."""
+    a, b, _, c = spd.entries.ravel().tolist()
+    return tuple(map(as_matrix, _planar_step(
+        (a, b, c), _certify_planar(a, b, c), lam, _planar_stack(covs))))
 
 
 def plain_barycenter(ens, tol=1e-12, max_iter=1000):
@@ -37,10 +51,19 @@ def plain_barycenter(ens, tol=1e-12, max_iter=1000):
     s = np.einsum("k,kij->ij", lam, covs)
     for step in range(max_iter + 1):
         spd = certify_spd(s)
-        mixed, s_next = _scatter_step(spd, covs, lam, _planar_stack(covs))
-        norm_s = np.linalg.norm(s)
-        residual = np.linalg.norm(mixed - s) / norm_s
-        change = np.linalg.norm(s_next - s) / norm_s
+        if ens.dim == 2:
+            a, b, _, c = spd.entries.ravel().tolist()
+            mixed, s_next = _planar_step((a, b, c), _certify_planar(a, b, c),
+                                         lam, _planar_stack(covs))
+            norm_s = math.hypot(a, b, b, c)
+            residual = _planar_gap(mixed, (a, b, c), norm_s)
+            change = _planar_gap(s_next, (a, b, c), norm_s)
+            s_next = as_matrix(s_next)
+        else:
+            mixed, s_next = _scatter_step(spd, covs, lam)
+            norm_s = np.linalg.norm(s)
+            residual = np.linalg.norm(mixed - s) / norm_s
+            change = np.linalg.norm(s_next - s) / norm_s
         if change < tol and residual <= 10.0 * tol:
             bary = LocScatter(lam @ means, spd)
             return BarycenterResult(
@@ -423,6 +446,93 @@ class TestAndersonAcceleration:
         np.testing.assert_array_equal(res.bary.cov.entries,
                                       ref.bary.cov.entries)
 
+    def test_planar_rejected_candidate_falls_back_to_plain_step(
+            self, monkeypatch):
+        # At d = 2 the candidate is certified on floats; after the first
+        # one is rejected, the next iterate certified is the plain step.
+        ens = random_ensemble(np.random.default_rng(71), 20, 2,
+                              condition_cap=1e4)
+        extrapolate = barycenter_module._planar_extrapolate
+        certify = barycenter_module._certify_planar
+        pending = []
+        rejected = []
+        after = []
+
+        def first_candidate(g, f, history):
+            cand = extrapolate(g, f, history)
+            if cand is not None and not rejected:
+                pending.append((cand, g))
+            return cand
+
+        def reject_first_candidate(*s):
+            if pending:
+                rejected.append(pending.pop())
+                assert s == rejected[0][0]
+                raise NotPositiveDefinite("rejected for the test")
+            if rejected and not after:
+                after.append(s)
+            return certify(*s)
+
+        monkeypatch.setattr(barycenter_module, "_planar_extrapolate",
+                            first_candidate)
+        monkeypatch.setattr(barycenter_module, "_certify_planar",
+                            reject_first_candidate)
+        res = fixed_point_barycenter(ens)
+        assert len(rejected) == 1
+        assert after == [rejected[0][1]]
+        assert_same_barycenter(res, plain_barycenter(ens))
+        assert res.residual <= 10.0 * 1e-12
+
+    def test_planar_singular_gram_takes_plain_step(self, monkeypatch):
+        # Diagonal members: every iterate is diagonal, so the residual
+        # differences span two of the three entries and the Gram matrix of
+        # three of them is singular.  Each singular solve restarts the
+        # history from the plain step, so the next solve has one pair.
+        solve = barycenter_module._gram_solve
+        sizes = []
+
+        def watch(gram, rhs):
+            x = solve(gram, rhs)
+            sizes.append((len(rhs), x is None))
+            return x
+
+        monkeypatch.setattr(barycenter_module, "_gram_solve", watch)
+        ens = WeightedEnsemble.equal_weights(tuple(
+            gauss([0.0, 0.0], np.diag(d))
+            for d in ((0.04, 1.0), (1.0, 2.0), (4.0, 0.5))))
+        with pytest.raises(MaxIterationsExceeded) as err:
+            fixed_point_barycenter(ens, tol=1e-300, max_iter=12)
+        singular = [i for i, (_, none) in enumerate(sizes) if none]
+        assert singular
+        assert all(sizes[i + 1][0] == 1 for i in singular
+                   if i + 1 < len(sizes))
+        expected = np.diag([(3.2 / 3.0) ** 2,
+                            ((1.0 + math.sqrt(2.0) + math.sqrt(0.5)) / 3.0)
+                            ** 2])
+        np.testing.assert_allclose(err.value.last_iterate, expected,
+                                   rtol=1e-14, atol=0.0)
+
+    def test_planar_non_finite_gram_solution_takes_plain_step(
+            self, monkeypatch):
+        # A NaN Gram solution is no candidate: the float solve retraces
+        # the plain iteration bit for bit.
+        calls = []
+
+        def nan_solution(gram, rhs):
+            calls.append(len(rhs))
+            return [math.nan] * len(rhs)
+
+        monkeypatch.setattr(barycenter_module, "_gram_solve", nan_solution)
+        ens = random_ensemble(np.random.default_rng(71), 20, 2,
+                              condition_cap=1e4)
+        res = fixed_point_barycenter(ens)
+        ref = plain_barycenter(ens)
+        assert calls and all(m == 1 for m in calls)
+        assert res.iterations == ref.iterations
+        assert res.residual == ref.residual
+        np.testing.assert_array_equal(res.bary.cov.entries,
+                                      ref.bary.cov.entries)
+
 
 class TestGMap:
     def test_barycenter_is_fixed_point(self):
@@ -509,14 +619,16 @@ def eigen_step(s, covs, lam):
 
 
 class TestPlanarStep:
-    """The d = 2 step, R A R + sigma I and A S A + 2 sigma A + sigma^2
-    S^{-1}, against the eigendecomposition route.  The sum of roots is
+    """The d = 2 step on floats, R A R + sigma I and A S A + 2 sigma A +
+    sigma^2 S^{-1}, against the eigendecomposition route.  The sum of roots is
     compared within 1e-12 of sum_j lam_j sqrt(|S| |S_j|) (spectral norms),
     the scale its products are formed at; the next iterate within 1e-12
     of |S^{-1}| |mixed|^2, the scale of the products S^{-1/2} mixed^2
     S^{-1/2} that the reference forms.  Over 8,000 draws biased to the
-    envelope's edges and 5,000 further examples the largest gaps were
-    2.9e-13 and 2.1e-13 of those scales."""
+    envelope's edges and 5,000 further examples the largest gaps of the
+    step on arrays were 2.9e-13 and 2.1e-13 of those scales; on another
+    8,000 edge-biased draws the step on floats and the step on arrays
+    both reached 3.3e-13 and 4.1e-13."""
 
     @ENVELOPE
     @given(PLANAR_SPEC, st.lists(st.tuples(PLANAR_SPEC,
@@ -527,7 +639,7 @@ class TestPlanarStep:
         covs = np.array([certified_planar(*m).entries for m, _ in members])
         lam = np.array([w for _, w in members])
         lam /= lam.sum()
-        mixed, s_next = _scatter_step(spd, covs, lam, _planar_stack(covs))
+        mixed, s_next = planar_step(spd, covs, lam)
         ref_mixed, ref_next = eigen_step(spd.entries, covs, lam)
         top = spd.eigenvalues[0]
         scale = float(lam @ np.sqrt(top * np.linalg.eigvalsh(covs)[:, -1]))
@@ -557,11 +669,34 @@ class TestPlanarStep:
         # bit for bit.
         assert res.variance == barycenter_variance(ens, res.bary)
 
+    @pytest.mark.parametrize("k", [1, 2, 50])
+    def test_lone_solve_is_the_kernel_bit_for_bit(self, k):
+        # One planar problem solved on its own: its variance is the Bures
+        # kernel at the certified iterate, and a trimmed_barycenter call
+        # at alpha 0, which solves the same problem and shares one planar
+        # stack among its distances, returns the same bits.
+        gen = RngState(k).generator()
+        law = gaussian_parameter_law()
+        ens = WeightedEnsemble.equal_weights(tuple(law(gen)
+                                                   for _ in range(k)))
+        res = fixed_point_barycenter(ens)
+        assert res.variance == barycenter_variance(ens, res.bary)
+        if k == 1:
+            assert res.iterations == 0
+            np.testing.assert_array_equal(res.bary.cov.entries,
+                                          ens.covs()[0])
+        trim = trimmed_barycenter(ens, TrimConfig(alpha=0.0, restarts=1))
+        np.testing.assert_array_equal(trim.bary.cov.entries,
+                                      res.bary.cov.entries)
+        assert trim.trimmed_variance == res.variance
+        d2 = _bures_sq(res.bary, ens.means(), ens.covs())
+        assert trim.radius == float(np.sqrt(np.max(d2)))
+
     def test_growing_inputs_take_the_same_steps(self, monkeypatch):
         # Law ensembles of sizes 50 and 200, seeds 0-5, trimmed at 0.2 with
         # three restarts.  The step with per-member roots (commit 091c027)
-        # took 452 inner steps in 126 solves; the weighted sum takes the
-        # same.
+        # took 452 inner steps in 126 solves; the weighted sum on arrays
+        # took the same, and so does the step on floats.
         steps = []
         solve = trimming_module._barycenter
 

@@ -519,7 +519,7 @@ class TestExitCodes:
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 1
-        assert proc.stderr == "error: weights sum to inf\n"
+        assert proc.stderr == f"error: {path}: weights sum to inf\n"
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("flags", [["barycenter"],
@@ -630,6 +630,20 @@ class TestMalformedSecondFile:
         assert proc.returncode == 1
         assert proc.stderr == (f"error: {bad}: invalid JSON at line 1, "
                                f"column 1: Expecting value\n")
+
+    def test_scatter_error_names_the_file(self, tmp_path):
+        # An error that is not a ParseError (here NotPositiveDefinite)
+        # keeps its exit code and names the file too.
+        good = gauss_doc(tmp_path / "good.json", [(1.0, [0.0], [[1.0]])])
+        bad = gauss_doc(tmp_path / "nspd.json", [(1.0, [0.0], [[-1.0]])])
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-m", "wcons.cli", "distance",
+                               good, bad],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: {bad}: distributions[0]: cov is not "
+                               f"positive definite (min eigenvalue -1)\n")
 
 
 class TestModuleEntryPoint:

@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from wcons import (BadWeights, InvalidInput, LocScatter, NotPositiveDefinite,
-                   ParseError, QuantileGrid, WeightedEnsemble, certify_spd,
-                   w2_distance_sq)
+from wcons import (BadWeights, DimensionMismatch, InvalidInput, LocScatter,
+                   NotPositiveDefinite, ParseError, QuantileGrid,
+                   WeightedEnsemble, certify_spd, w2_distance_sq)
 from wcons.ensemble_io import (EnsembleDocument, emit_ensemble,
                                loc_scatter_obj, parse_ensemble,
                                parse_ensemble_text, read_quantile_grid,
@@ -202,6 +202,26 @@ class TestParseEnsemble:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError) as info:
             parse_ensemble(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("entries, error, message", [
+        ('{"weight": 1.0, "mean": [0], "cov": [[-1]]}', NotPositiveDefinite,
+         "distributions[0]: cov is not positive definite (min eigenvalue "
+         "-1)"),
+        ('{"weight": 0.5, "mean": [0], "cov": [[1]]}', BadWeights,
+         "weights sum to 0.5; pass the normalize option or fix the file"),
+        ('{"weight": 0.5, "mean": [0], "cov": [[1]]}, '
+         '{"weight": 0.5, "mean": [0, 0], "cov": [[1, 0], [0, 1]]}',
+         DimensionMismatch, "members span dimensions [1, 2]"),
+    ])
+    def test_other_document_errors_are_named(self, tmp_path, entries, error,
+                                             message):
+        path = tmp_path / "bad.json"
+        path.write_text('{"distributions": [' + entries + ']}',
+                        encoding="utf-8")
+        with pytest.raises(error) as info:
+            parse_ensemble(path)
+        assert type(info.value) is error
         assert str(info.value) == f"{path}: {message}"
 
 

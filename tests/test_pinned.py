@@ -50,6 +50,16 @@ index and outer-iteration count stayed equal, as did the inner-step
 counts.  The ill-conditioned, ``g_map`` and general-dimension digests did
 not move.
 
+The law trim, brute-force and harness digests were re-pinned a sixth
+time when the planar scatter step, its Anderson mixing and the
+certification of each iterate moved from 2 x 2 arrays to Python floats
+(the Gram system solved by LDL^T, the norms by ``math.hypot``): against
+commit 9811b1a each float array pinned below moved by at most 5.7e-15
+relative to its largest entry (each harness row entry by at most 1.8e-14
+relative to itself), and every kept-weight vector, restart index and
+outer-iteration count stayed equal, as did the inner-step counts.  The
+ill-conditioned, ``g_map`` and general-dimension digests did not move.
+
 Every digest here was computed with numpy 2.4.6 on OpenBLAS 0.3.31
 (scipy-openblas, Python 3.11); another BLAS build can round differently.
 """
@@ -160,9 +170,11 @@ def test_trimmed_law_ensemble_is_pinned():
     # 1.5e-15 and restart variances 2.3e-15 relative.
     # Per-member roots: 92800c07...8d4f5abf; scatter moved 1.7e-15 and
     # the variance history 2.5e-15 relative.
+    # Planar step on arrays: 4bfd27a8...2289affd4; scatter moved 4.2e-16
+    # and the variance history 1.5e-15 relative.
     assert law_trim_digest() == (
-        "4bfd27a8c3a8c8b744bc730869ddc9f6"
-        "6e920550341aa21b239464a2289affd4")
+        "878bca4b857e3da8298705aa27f3930e"
+        "eab92645c55b809de99173e3769590f4")
 
 
 def test_ill_conditioned_barycenters_are_pinned():
@@ -188,9 +200,11 @@ def test_brute_force_toy_is_pinned():
     # relative.
     # Per-member roots: 6de2abfd...d993dfaf; scatter moved 7.5e-16 and
     # the variances 1.6e-16 relative.
+    # Planar step on arrays: 2fb9c4a7...1d83dd8d; scatter moved 1.5e-16
+    # relative, and the variances kept their bits.
     assert brute_force_digest() == (
-        "2fb9c4a78c3bef445e3170f67e1560fd"
-        "f8e55c07672e983cc96b00501d83dd8d")
+        "1af23663bbc616d2ca398e90ef7e5098"
+        "0802e94e1fd2d1068c31d2215eec32d2")
 
 
 def test_consistency_harness_is_pinned():
@@ -203,9 +217,11 @@ def test_consistency_harness_is_pinned():
     # entry).
     # Per-member roots: 620bfc78...ecde2b8e; reference scatter moved
     # 3.4e-16 and rows 1.9e-15 relative (4.7e-15 entry by entry).
+    # Planar step on arrays: 75571bb8...acc9460ec; reference scatter moved
+    # 4.6e-16 and rows 5.7e-15 relative (1.8e-14 entry by entry).
     assert harness_digest() == (
-        "75571bb846da5478ac24d1e68fd1d3ba"
-        "3631f8d85ff448f46821368acc9460ec")
+        "a82b30f5c35237172cf82cb93ff2d105"
+        "4fc7aa9c787a5ec4a4b8018e85ed913a")
 
 
 def test_general_dimension_draws_are_pinned():

@@ -469,9 +469,8 @@ class TestCStepKernel:
         clouds = scale * gen.standard_normal((4, 50, 2))
         owner = np.repeat(np.arange(4), 3)
         means, covs = random_starts(gen, clouds, owner)
-        with np.errstate(over="ignore", invalid="ignore"):
-            *_, failed = assert_batch_matches_reference(clouds, owner, 35,
-                                                        means, covs)
+        *_, failed = assert_batch_matches_reference(clouds, owner, 35,
+                                                    means, covs)
         assert not failed.any()
 
     def test_overflowing_distances_beyond_the_edge(self):
@@ -695,7 +694,7 @@ class TestEstimateMcd:
         pts = RngState(2).generator().standard_normal((20, 2))
         pts[7, 0] = bad
         with pytest.raises(InvalidInput, match="points"):
-            estimate_mcd(pts, 15, 3, RngState(1))
+            estimate_mcd(pts, 15, 3, RngState(1).generator())
 
     def test_deterministic_given_state(self):
         pts = RngState(3).generator().standard_normal((100, 2))
@@ -860,7 +859,10 @@ class TestHospitalExperiment:
         # became one weighted sum (per-member roots: 78d6cf77...c1c793f0):
         # the distances moved by at most 1.9e-14 and the scatters by
         # 3.5e-16 relative, and the kept weights and outlier counts stayed
-        # equal.
+        # equal.  It was re-pinned when the planar step moved to Python
+        # floats (step on arrays: 1efa364c...c3d54c35): the distances moved
+        # by at most 3.9e-14 and the scatters by 1.8e-16 relative, and the
+        # kept weights and outlier counts stayed equal.
         cfg = HospitalConfig(k=12, n=40, seed=1, mcd_restarts=3,
                              trim_restarts=3)
         rep = hospital_experiment(cfg)
@@ -874,8 +876,8 @@ class TestHospitalExperiment:
         for a in parts:
             digest.update(np.ascontiguousarray(
                 a, dtype=a.dtype.newbyteorder("<")).tobytes())
-        assert digest.hexdigest() == ("1efa364c6f3ff8ef9850733c1a977b14"
-                                      "6a4f37805f49b469dbbb76c3d3d54c35")
+        assert digest.hexdigest() == ("c65259c8de80322f769e9001b422d2b1"
+                                      "6c2080833b0a7880edb1b1f8de48b1b1")
 
     def test_different_seeds_differ(self):
         base = dict(k=10, n=40, mcd_restarts=2, trim_restarts=3)

@@ -558,11 +558,10 @@ class TestVarianceCurve:
 
     def test_alphas_must_ascend(self):
         ens = far_outlier_trio()
-        cfg = TrimConfig(alpha=0.0, restarts=2)
+        with pytest.raises(InvalidInput, match="ascending"):
+            variance_curve(ens, [0.2, 0.1], 2)
         with pytest.raises(InvalidInput):
-            variance_curve(ens, [0.2, 0.1], cfg)
-        with pytest.raises(InvalidInput):
-            variance_curve(ens, [0.0, 1.0], cfg)
+            variance_curve(ens, [0.0, 1.0], 2)
 
 
 class TestBruteForce:
