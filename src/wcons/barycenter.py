@@ -14,26 +14,26 @@ definite start.  The weighted average of the member S_j is the default
 starting point; the trimming search starts each new kept set from the
 scatter of the nearest one it has solved.
 
-At d = 2 a step is one weighted sum (Bhatia, Jain & Lim, arXiv:1712.01504).
-A 2 x 2 PSD M has M^{1/2} = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)),
-so with R = S^{1/2}, s_j = sqrt(det S det S_j) and t_j = sqrt(tr(S S_j) +
-2 s_j), the planar Bures cross terms, sum_j lam_j (R S_j R)^{1/2} = R A R
-+ sigma I with A = sum_j (lam_j / t_j) S_j and sigma = sum_j lam_j s_j /
-t_j; the next iterate is A S A + 2 sigma A + sigma^2 S^{-1}.  Only the
-cross terms and the sums over the members are arrays: the iterate, its
-certified eigenpairs, the 2 x 2 products, the norms and the Anderson
-update below are Python floats.
-
 The iteration converges linearly, so the solver accelerates it with type-II
 Anderson mixing (Walker & Ni 2011): each plain step G(S) is corrected by the
 combination of the last ``ANDERSON_DEPTH`` steps (at most d (d + 1) / 2)
 whose residual differences best cancel the current residual G(S) - S, a
 least-squares fit solved through its small Gram system.  Every candidate
-must pass :func:`certify_spd`; when it does not, or the Gram system is
+must be certified positive definite; when it is not, or the Gram system is
 singular or gives a non-finite solution, the plain step is taken and the
 history is cleared.  The stopping rule is checked on the plain step taken
 from the certified iterate, so a returned scatter satisfies the same
 certificate as one from the plain iteration.
+
+One loop runs this in every dimension; only the iterate's arithmetic
+depends on d, and it is chosen once.  Off d = 2 the iterate is a (d, d)
+array.  At d = 2 it is the floats of [[a, b], [b, c]] with certified
+eigenpairs, and a step is one weighted sum (Bhatia, Jain & Lim,
+arXiv:1712.01504): with R = S^{1/2}, s_j = sqrt(det S det S_j) and t_j =
+sqrt(tr(S S_j) + 2 s_j), sum_j lam_j (R S_j R)^{1/2} = R A R + sigma I for
+A = sum_j (lam_j / t_j) S_j and sigma = sum_j lam_j s_j / t_j, and the
+next iterate is A S A + 2 sigma A + sigma^2 S^{-1}; only these sums over
+the members are arrays.
 """
 
 from __future__ import annotations
@@ -138,12 +138,10 @@ def _scatter_step(spd: SpdMatrix, covs: np.ndarray, lam: np.ndarray):
 
 
 def _planar_step(s, eig, lam: np.ndarray, planar):
-    """The d = 2 step from ``S = [[a, b], [b, c]]``, ``s = (a, b, c)``,
+    """The d = 2 step of the module docstring from ``s = (a, b, c)``
     certified as ``eig = _certify_planar(*s)``, with ``planar =
-    _planar_stack(covs)``: the weighted mean of the transported roots, R A
-    R + sigma I, and the next iterate, A S A + 2 sigma A + sigma^2 S^{-1},
-    each as ``(a, b, c)``.  Only the cross terms and the sums over the
-    members are arrays."""
+    _planar_stack(covs)``: R A R + sigma I and the next iterate, each as
+    ``(a, b, c)``."""
     a, b, c = s
     (l1, l2), (v00, v01, v10, v11) = eig
     root_det, t = _planar_cross(s, l1 * l2, planar)
@@ -172,20 +170,21 @@ def _planar_step(s, eig, lam: np.ndarray, planar):
     return mixed, s_next
 
 
-def _extrapolate(s_next: np.ndarray, f: np.ndarray, dg: np.ndarray,
-                 df: np.ndarray) -> np.ndarray | None:
-    """Type-II Anderson candidate: the plain iterate ``s_next`` minus the
-    combination of the stored iterate differences ``dg`` whose residual
-    differences ``df`` (one flattened pair per row) best cancel the current
-    residual ``f``.  ``None`` when the Gram system of the residual
+def _extrapolate(g: np.ndarray, f: np.ndarray, history) -> np.ndarray | None:
+    """Type-II Anderson candidate: the plain iterate ``g`` minus the
+    combination of the stored iterate differences whose residual
+    differences best cancel the current residual ``f``; ``history`` holds
+    the ``(dg, df)`` pairs.  ``None`` when the Gram system of the residual
     differences is singular or its solution is not finite."""
+    dg, df = (np.concatenate(x).reshape(len(history), -1)
+              for x in zip(*history))
     try:
-        gamma = np.linalg.solve(df @ df.T, df @ f)
+        gamma = np.linalg.solve(df @ df.T, df @ f.ravel())
     except np.linalg.LinAlgError:
         return None
     if not np.isfinite(gamma).all():
         return None
-    cand = s_next - (gamma @ dg).reshape(s_next.shape)
+    cand = g - (gamma @ dg).reshape(g.shape)
     return 0.5 * (cand + cand.T)
 
 
@@ -244,102 +243,67 @@ def _planar_extrapolate(g, f, history):
     return a, b, c
 
 
-def _planar_gap(u, v, norm: float) -> float:
-    """Relative Frobenius distance of ``(a, b, c)`` matrices."""
-    return math.hypot(u[0] - v[0], u[1] - v[1], u[1] - v[1],
-                      u[2] - v[2]) / norm
+class _Arrays:
+    """The iterate off d = 2: a ``(d, d)`` array, certified by
+    :func:`certify_spd` and mixed by :func:`_extrapolate`.  Methods look
+    module functions up when called, so a substituted one takes effect."""
+
+    iterate = matrix = staticmethod(np.asarray)
+    norm = staticmethod(np.linalg.norm)
+    sub = np.subtract
+
+    def __init__(self, lam, covs, planar):
+        self.lam, self.covs, self.planar = lam, covs, planar
+
+    def certify(self, s):
+        return certify_spd(s)
+
+    def step(self, s, spd):
+        return _scatter_step(spd, self.covs, self.lam)
+
+    def extrapolate(self, g, f, history):
+        return _extrapolate(g, f, history)
+
+    def certified(self, s, spd) -> SpdMatrix:
+        return spd
 
 
-def _general_solve(lam, covs, s, tol, max_iter, single):
-    """The accelerated iteration on arrays (d != 2); returns the certified
-    iterate at the stop, the step count and the residual."""
-    d = s.shape[0]
-    # Differences of symmetric matrices span d (d + 1) / 2 dimensions; more
-    # pairs than that would make the Gram matrix singular.
-    depth = min(ANDERSON_DEPTH, d * (d + 1) // 2)
-    dg = np.empty((depth, d * d))
-    df = np.empty((depth, d * d))
-    pairs = 0
-    last = None
-    spd = None
-    for step in range(max_iter + 1):
-        if spd is None:
-            spd = certify_spd(s)
-        mixed, s_next = _scatter_step(spd, covs, lam)
-        norm_s = np.linalg.norm(s)
-        residual = np.linalg.norm(mixed - s) / norm_s
-        change = np.linalg.norm(s_next - s) / norm_s
-        if single or (change < tol and residual <= 10.0 * tol):
-            return spd, step, float(residual)
-        g = s_next.ravel()
-        f = g - s.ravel()
-        if last is not None:
-            row = pairs % depth
-            np.subtract(g, last[0], out=dg[row])
-            np.subtract(f, last[1], out=df[row])
-            pairs += 1
-        last = g, f
-        s, spd = s_next, None
-        if pairs:
-            held = min(pairs, depth)
-            cand = _extrapolate(s_next, f, dg[:held], df[:held])
-            if cand is not None:
-                try:
-                    s, spd = cand, certify_spd(cand)
-                except NotPositiveDefinite:
-                    pass
-            if spd is None:
-                # No certified candidate: keep the plain step and start the
-                # history again from it.
-                pairs = 0
-    raise MaxIterationsExceeded(
-        f"scatter iteration did not converge in {max_iter} steps "
-        f"(residual {residual:.3e})",
-        last_iterate=s, residual=float(residual))
+class _Floats(_Arrays):
+    """The iterate at d = 2: the floats ``(a, b, c)`` of ``[[a, b], [b,
+    c]]``, certified by :func:`_certify_planar` and mixed by
+    :func:`_planar_extrapolate`; only the constructor is inherited."""
+
+    certified = staticmethod(_planar_spd)
+
+    def iterate(self, m):
+        x, p, q, z = m.ravel().tolist()
+        return x, (p + q) * 0.5, z
+
+    def matrix(self, s) -> np.ndarray:
+        a, b, c = s
+        return np.array([[a, b], [b, c]])
+
+    def certify(self, s):
+        return _certify_planar(*s)
+
+    def step(self, s, eig):
+        return _planar_step(s, eig, self.lam, self.planar)
+
+    def norm(self, x) -> float:
+        return math.hypot(x[0], x[1], x[1], x[2])
+
+    def sub(self, u, v):
+        return u[0] - v[0], u[1] - v[1], u[2] - v[2]
+
+    def extrapolate(self, g, f, history):
+        return _planar_extrapolate(g, f, history)
 
 
-def _planar_solve(lam, planar, s, tol, max_iter, single):
-    """:func:`_general_solve` at d = 2, with the iterate, its eigenpairs
-    and the Anderson history on floats."""
-    x, p, q, z = s.ravel().tolist()
-    s = (x, (p + q) * 0.5, z)
-    depth = min(ANDERSON_DEPTH, 3)
-    history = [None] * depth
-    pairs = 0
-    last = None
-    eig = None
-    for step in range(max_iter + 1):
-        if eig is None:
-            eig = _certify_planar(*s)
-        mixed, s_next = _planar_step(s, eig, lam, planar)
-        norm_s = math.hypot(s[0], s[1], s[1], s[2])
-        residual = _planar_gap(mixed, s, norm_s)
-        if single or (_planar_gap(s_next, s, norm_s) < tol
-                      and residual <= 10.0 * tol):
-            return _planar_spd(s, *eig), step, residual
-        f = (s_next[0] - s[0], s_next[1] - s[1], s_next[2] - s[2])
-        if last is not None:
-            history[pairs % depth] = (
-                tuple(u - v for u, v in zip(s_next, last[0])),
-                tuple(u - v for u, v in zip(f, last[1])))
-            pairs += 1
-        last = s_next, f
-        s, eig = s_next, None
-        if pairs:
-            cand = _planar_extrapolate(s_next, f,
-                                       history[:min(pairs, depth)])
-            if cand is not None:
-                try:
-                    s, eig = cand, _certify_planar(*cand)
-                except NotPositiveDefinite:
-                    pass
-            if eig is None:
-                pairs = 0
-    a, b, c = s
-    raise MaxIterationsExceeded(
-        f"scatter iteration did not converge in {max_iter} steps "
-        f"(residual {residual:.3e})",
-        last_iterate=np.array([[a, b], [b, c]]), residual=residual)
+def _representation(lam: np.ndarray, covs: np.ndarray) -> _Arrays:
+    """The iterate's arithmetic for the members ``covs`` weighted by
+    ``lam``, chosen from their dimension: floats at d = 2, else arrays."""
+    planar = _planar_stack(covs)
+    return (_Arrays if planar is None else _Floats)(lam, covs, planar)
 
 
 def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
@@ -352,20 +316,50 @@ def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
     returns at step 0 with the residual that step measured."""
     single = lam.shape[0] == 1
     if single or start is None:
-        s = np.einsum("k,kij->ij", lam, covs)
-    else:
-        s = start
-    planar = _planar_stack(covs)
-    if planar is None:
-        spd, step, residual = _general_solve(lam, covs, s, tol, max_iter,
-                                             single)
-    else:
-        spd, step, residual = _planar_solve(lam, planar, s, tol, max_iter,
-                                            single)
-    bary = LocScatter(lam @ means, spd)
-    return BarycenterResult(
-        bary=bary, iterations=step, residual=residual,
-        variance=float(lam @ _bures_sq(bary, means, covs, planar)))
+        start = np.einsum("k,kij->ij", lam, covs)
+    rep = _representation(lam, covs)
+    s = rep.iterate(start)
+    d = covs.shape[-1]
+    # Differences of symmetric matrices span d (d + 1) / 2 dimensions; more
+    # pairs than that would make the Gram matrix singular.
+    depth = min(ANDERSON_DEPTH, d * (d + 1) // 2)
+    history = [None] * depth
+    pairs = 0
+    last = cert = None
+    for step in range(max_iter + 1):
+        if cert is None:
+            cert = rep.certify(s)
+        mixed, s_next = rep.step(s, cert)
+        norm_s = rep.norm(s)
+        residual = float(rep.norm(rep.sub(mixed, s)) / norm_s)
+        f = rep.sub(s_next, s)
+        if single or (rep.norm(f) / norm_s < tol and residual <= 10.0 * tol):
+            bary = LocScatter(lam @ means, rep.certified(s, cert))
+            return BarycenterResult(
+                bary=bary, iterations=step, residual=residual,
+                variance=float(lam @ _bures_sq(bary, means, covs,
+                                               rep.planar)))
+        if last is not None:
+            history[pairs % depth] = (rep.sub(s_next, last[0]),
+                                      rep.sub(f, last[1]))
+            pairs += 1
+        last = s_next, f
+        s, cert = s_next, None
+        if pairs:
+            cand = rep.extrapolate(s_next, f, history[:min(pairs, depth)])
+            if cand is not None:
+                try:
+                    s, cert = cand, rep.certify(cand)
+                except NotPositiveDefinite:
+                    pass
+            if cert is None:
+                # No certified candidate: keep the plain step and start the
+                # history again from it.
+                pairs = 0
+    raise MaxIterationsExceeded(
+        f"scatter iteration did not converge in {max_iter} steps "
+        f"(residual {residual:.3e})",
+        last_iterate=rep.matrix(s), residual=residual)
 
 
 def fixed_point_barycenter(ens: WeightedEnsemble, tol: float = DEFAULT_TOL,
@@ -399,15 +393,10 @@ def g_map(ens: WeightedEnsemble, eta: LocScatter) -> LocScatter:
     if eta.dim != ens.dim:
         raise DimensionMismatch(f"reference has dimension {eta.dim}, "
                                 f"ensemble {ens.dim}")
-    covs, lam = ens.covs(), ens.weights
-    if eta.dim == 2:
-        a, b, _, c = eta.cov.entries.ravel().tolist()
-        a, b, c = _planar_step((a, b, c), _certify_planar(a, b, c), lam,
-                               _planar_stack(covs))[1]
-        cov = np.array([[a, b], [b, c]])
-    else:
-        cov = _scatter_step(eta.cov, covs, lam)[1]
-    return LocScatter(lam @ ens.means(), certify_spd(cov))
+    rep = _representation(ens.weights, ens.covs())
+    s = rep.iterate(eta.cov.entries)
+    cov = rep.matrix(rep.step(s, rep.certify(s))[1])
+    return LocScatter(ens.weights @ ens.means(), certify_spd(cov))
 
 
 def barycenter_variance(ens: WeightedEnsemble, candidate: LocScatter) -> float:

@@ -13,10 +13,13 @@ Jain & Lim, arXiv:1712.01504):
     tr((S_P^{1/2} S_Q S_P^{1/2})^{1/2})
         = sqrt(tr(S_P S_Q) + 2 sqrt(det S_P det S_Q)),
 
-which is how planar distances are computed; other dimensions take the
-eigenvalues of S_P^{1/2} S_Q S_P^{1/2}, and recompute the cross term as
-the nuclear norm of L_P^T L_Q (Cholesky factors) for pairs whose distance
-comes out near zero or below it.
+which is how planar distances are computed.  The product det S_P det S_Q
+overflows past a scale of about 1e77; there it is taken as the product of
+the roots, which moves the planar edge to about 1e154, where tr(S_P S_Q)
+overflows.  Other dimensions take the eigenvalues of S_P^{1/2} S_Q
+S_P^{1/2}, and recompute the cross term as the nuclear norm of L_P^T L_Q
+(Cholesky factors) for pairs whose distance comes out near zero or below
+it.
 """
 
 from __future__ import annotations
@@ -83,13 +86,13 @@ class AffineMap:
 
 
 def _planar_stack(covs: np.ndarray):
-    """Rows ``(a, b, b, c)``, determinants and traces of 2 x 2 scatters;
-    None off d = 2."""
+    """Rows ``(a, b, b, c)``, determinants, traces and the largest
+    determinant (a float) of 2 x 2 scatters; None off d = 2."""
     if covs.shape[-1] != 2:
         return None
     flat = covs.reshape(-1, 4)
-    return (flat, flat[:, 0] * flat[:, 3] - flat[:, 2] * flat[:, 2],
-            flat[:, 0] + flat[:, 3])
+    dets = flat[:, 0] * flat[:, 3] - flat[:, 2] * flat[:, 2]
+    return flat, dets, flat[:, 0] + flat[:, 3], float(dets.max())
 
 
 def _planar_cross(s, det: float, planar) -> tuple[np.ndarray, np.ndarray]:
@@ -97,9 +100,12 @@ def _planar_cross(s, det: float, planar) -> tuple[np.ndarray, np.ndarray]:
     ``tr((S^{1/2} S_j S^{1/2})^{1/2})`` for ``S = [[a, b], [b, c]]`` given
     as ``s = (a, b, c)``, ``det = det S`` and ``planar =
     _planar_stack(covs)``."""
-    flat, dets = planar[:2]
+    flat, dets, _, top = planar
     a, b, c = s
-    root_det = np.sqrt(np.maximum(det * dets, 0.0))
+    if math.isfinite(det * top):
+        root_det = np.sqrt(np.maximum(det * dets, 0.0))
+    else:
+        root_det = math.sqrt(det) * np.sqrt(np.maximum(dets, 0.0))
     return root_det, np.sqrt(flat @ (a, b, b, c) + 2.0 * root_det)
 
 

@@ -224,10 +224,11 @@ def _check_floor(values) -> None:
             min_eigenvalue=smallest)
 
 
-def _planar_spd(s, values, vectors) -> SpdMatrix:
+def _planar_spd(s, eig) -> SpdMatrix:
     """The :class:`SpdMatrix` of ``s = (a, b, c)`` certified by
-    :func:`_certify_planar` as ``values``, ``vectors``."""
+    :func:`_certify_planar` as ``eig = (values, vectors)``."""
     a, b, c = s
+    values, vectors = eig
     parts = (np.array([[a, b], [b, c]]), np.array(values),
              np.array(vectors).reshape(2, 2))
     for x in parts:
@@ -251,7 +252,7 @@ def certify_spd(m: SymMatrix | np.ndarray) -> SpdMatrix:
         # entries it changes no bit.
         a00, a01, a10, a11 = a.ravel().tolist()
         s = ((a00 + a00) * 0.5, (a01 + a10) * 0.5, (a11 + a11) * 0.5)
-        return _planar_spd(s, *_certify_planar(*s))
+        return _planar_spd(s, _certify_planar(*s))
     if not isinstance(m, SymMatrix):
         m = SymMatrix(a)
     w, v = sym_eigen(m)

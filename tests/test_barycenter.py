@@ -22,8 +22,8 @@ from wcons import (BadWeights, DimensionMismatch, InvalidInput, LocScatter,
                    gaussian_parameter_law, gaussian_quantiles,
                    linear_mean, log_euclidean_mean, quantile_barycenter,
                    trimmed_barycenter, variance_1d, w2_distance_sq)
-from wcons.barycenter import (BarycenterResult, _barycenter, _planar_gap,
-                              _planar_step, _scatter_step)
+from wcons.barycenter import (BarycenterResult, _barycenter, _planar_step,
+                              _scatter_step)
 from wcons.locscatter import _bures_sq, _planar_stack
 from wcons.spd import _certify_planar
 
@@ -44,6 +44,13 @@ def planar_step(spd, covs, lam):
         (a, b, c), _certify_planar(a, b, c), lam, _planar_stack(covs))))
 
 
+def planar_gap(u, v, norm):
+    """Relative Frobenius distance of 2 x 2 matrices held as ``(a, b, c)``,
+    in the solver's operation order."""
+    d0, d1, d2 = u[0] - v[0], u[1] - v[1], u[2] - v[2]
+    return math.hypot(d0, d1, d1, d2) / norm
+
+
 def plain_barycenter(ens, tol=1e-12, max_iter=1000):
     """The unaccelerated scatter iteration with the solver's stopping rule:
     the reference the Anderson-accelerated solver is checked against."""
@@ -56,8 +63,8 @@ def plain_barycenter(ens, tol=1e-12, max_iter=1000):
             mixed, s_next = _planar_step((a, b, c), _certify_planar(a, b, c),
                                          lam, _planar_stack(covs))
             norm_s = math.hypot(a, b, b, c)
-            residual = _planar_gap(mixed, (a, b, c), norm_s)
-            change = _planar_gap(s_next, (a, b, c), norm_s)
+            residual = planar_gap(mixed, (a, b, c), norm_s)
+            change = planar_gap(s_next, (a, b, c), norm_s)
             s_next = as_matrix(s_next)
         else:
             mixed, s_next = _scatter_step(spd, covs, lam)
@@ -298,17 +305,22 @@ class TestFixedPointBarycenter:
         grid_var = variance_1d(weights, grids, bary_grid)
         assert matrix_var == pytest.approx(grid_var, abs=5e-3)
 
-    def test_max_iterations_exceeded(self):
-        # A non-commuting pair needs many contraction steps, so a budget
-        # of one update cannot reach the 1e-12 tolerance.
-        ens = WeightedEnsemble(
-            np.array([0.5, 0.5]),
-            (gauss([0.0, 0.0], [[1.0, 0.0], [0.0, 4.0]]),
-             gauss([0.0, 0.0], [[2.0, 1.0], [1.0, 2.0]])))
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_max_iterations_exceeded(self, dim):
+        # The weighted mean of the scatters is not the barycenter of
+        # distinct members, so the step from it misses a tolerance of
+        # 1e-300.  Later steps may not: at d = 1 the first step can land
+        # on a floating-point fixed point, where the change is exactly 0.
+        # In every dimension the failure carries the last iterate as a
+        # symmetric (d, d) float array and the residual as a float.
+        ens = random_ensemble(np.random.default_rng(dim), 4, dim)
         with pytest.raises(MaxIterationsExceeded) as err:
-            fixed_point_barycenter(ens, max_iter=1)
-        assert err.value.last_iterate is not None
-        assert err.value.residual is not None
+            fixed_point_barycenter(ens, tol=1e-300, max_iter=0)
+        last = err.value.last_iterate
+        assert type(last) is np.ndarray and last.dtype == np.float64
+        assert last.shape == (dim, dim)
+        np.testing.assert_array_equal(last, last.T)
+        assert type(err.value.residual) is float
 
     def test_bad_budgets_rejected(self):
         ens = sigma_trio()
@@ -691,6 +703,29 @@ class TestPlanarStep:
         assert trim.trimmed_variance == res.variance
         d2 = _bures_sq(res.bary, ens.means(), ens.covs())
         assert trim.radius == float(np.sqrt(np.max(d2)))
+
+    @pytest.mark.parametrize("scale", [1e78, 1e120])
+    def test_huge_scale_is_the_scaled_solve(self, scale):
+        # Past scale 1e77 the product det S det S_j overflows, so the cross
+        # terms take the product of the roots of the determinants instead:
+        # the solve, the trimming and the distances then hold up to about
+        # 1e154 without a warning.
+        ens = random_ensemble(np.random.default_rng(5), 6, 2,
+                              condition_cap=10.0)
+        big = WeightedEnsemble(ens.weights, tuple(
+            LocScatter(math.sqrt(scale) * m.mean,
+                       certify_spd(scale * m.cov.entries))
+            for m in ens.members))
+        ref, res = fixed_point_barycenter(ens), fixed_point_barycenter(big)
+        assert res.iterations == ref.iterations
+        gap = np.linalg.norm(res.bary.cov.entries
+                             - scale * ref.bary.cov.entries)
+        assert gap <= 1e-12 * scale * np.linalg.norm(ref.bary.cov.entries)
+        cfg = TrimConfig(alpha=0.2)
+        np.testing.assert_array_equal(
+            trimmed_barycenter(big, cfg).active_weights,
+            trimmed_barycenter(ens, cfg).active_weights)
+        assert math.isfinite(w2_distance_sq(big.members[0], big.members[1]))
 
     def test_growing_inputs_take_the_same_steps(self, monkeypatch):
         # Law ensembles of sizes 50 and 200, seeds 0-5, trimmed at 0.2 with
