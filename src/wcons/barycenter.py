@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,7 +73,8 @@ class WeightedEnsemble:
 
     Weights must sum to one within 1e-9 and all members must share a
     dimension.  The member means ``(k, d)`` and scatters ``(k, d, d)`` are
-    stacked once, read-only, and every solver works on those stacks.
+    stacked once, read-only, and every solver works on those stacks; the
+    d = 2 rows of the closed-form distances are formed once, on first use.
     """
 
     weights: np.ndarray
@@ -115,6 +117,12 @@ class WeightedEnsemble:
 
     def covs(self) -> np.ndarray:
         return self._covs
+
+    _planar = cached_property(lambda self: _planar_stack(self._covs))
+
+    def _distances_sq(self, center: LocScatter) -> np.ndarray:
+        """Squared distances from ``center`` to the members."""
+        return _bures_sq(center, self._means, self._covs, self._planar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,7 +409,7 @@ def g_map(ens: WeightedEnsemble, eta: LocScatter) -> LocScatter:
 
 def barycenter_variance(ens: WeightedEnsemble, candidate: LocScatter) -> float:
     """Weighted sum of squared distances from the members to ``candidate``."""
-    return float(ens.weights @ _bures_sq(candidate, ens.means(), ens.covs()))
+    return float(ens.weights @ ens._distances_sq(candidate))
 
 
 def log_euclidean_mean(ens: WeightedEnsemble) -> LocScatter:

@@ -5,8 +5,9 @@ artifacts are written to ``--out`` paths as JSON or CSV with full
 round-trip float precision.  Exit status is 0 on success, 1 on any
 validation or I/O problem (bad flags, malformed or too deeply nested
 documents, non-certifiable inputs, files that cannot be read or decoded as
-UTF-8, unwritable files) and 2 when a solver gives up or loses numerical
-positivity.  Every failure is reported as one line on stderr, and a
+UTF-8, unwritable files) and 2 when a solver gives up, loses numerical
+positivity or meets a closed form that overflows (planar scatters past a
+scale of about 1e154).  Every failure is reported as one line on stderr, and a
 command that fails writes no ``--out`` file.
 """
 

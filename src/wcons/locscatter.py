@@ -16,7 +16,8 @@ Jain & Lim, arXiv:1712.01504):
 which is how planar distances are computed.  The product det S_P det S_Q
 overflows past a scale of about 1e77; there it is taken as the product of
 the roots, which moves the planar edge to about 1e154, where tr(S_P S_Q)
-overflows.  Other dimensions take the eigenvalues of S_P^{1/2} S_Q
+overflows: past it the closed forms raise ``ArithmeticError`` (a solver
+failure, CLI exit 2).  Other dimensions take the eigenvalues of S_P^{1/2} S_Q
 S_P^{1/2}, and recompute the cross term as the nuclear norm of L_P^T L_Q
 (Cholesky factors) for pairs whose distance comes out near zero or below
 it.
@@ -87,26 +88,36 @@ class AffineMap:
 
 def _planar_stack(covs: np.ndarray):
     """Rows ``(a, b, b, c)``, determinants, traces and the largest
-    determinant (a float) of 2 x 2 scatters; None off d = 2."""
+    determinant (a float) of 2 x 2 scatters; None off d = 2.  Entries that
+    overflow are left inf or nan, without a warning."""
     if covs.shape[-1] != 2:
         return None
     flat = covs.reshape(-1, 4)
-    dets = flat[:, 0] * flat[:, 3] - flat[:, 2] * flat[:, 2]
-    return flat, dets, flat[:, 0] + flat[:, 3], float(dets.max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = flat[:, 0] * flat[:, 3] - flat[:, 2] * flat[:, 2]
+        traces = flat[:, 0] + flat[:, 3]
+    return flat, dets, traces, float(dets.max())
 
 
 def _planar_cross(s, det: float, planar) -> tuple[np.ndarray, np.ndarray]:
     """``s_j = sqrt(det S det S_j)`` and ``t_j = sqrt(tr(S S_j) + 2 s_j)`` =
     ``tr((S^{1/2} S_j S^{1/2})^{1/2})`` for ``S = [[a, b], [b, c]]`` given
     as ``s = (a, b, c)``, ``det = det S`` and ``planar =
-    _planar_stack(covs)``."""
+    _planar_stack(covs)``.  Raises ``ArithmeticError`` when a ``t_j`` is
+    not finite (it overflowed)."""
     flat, dets, _, top = planar
     a, b, c = s
     if math.isfinite(det * top):
+        # Certified scatters have det >= 1e-10 tr^2 / 4 (spd.pd_floor), so
+        # here tr S tr S_j < 1e165, and t_j^2 <= 1.5 tr S tr S_j is finite.
         root_det = np.sqrt(np.maximum(det * dets, 0.0))
-    else:
+        return root_det, np.sqrt(flat @ (a, b, b, c) + 2.0 * root_det)
+    with np.errstate(over="ignore", invalid="ignore"):
         root_det = math.sqrt(det) * np.sqrt(np.maximum(dets, 0.0))
-    return root_det, np.sqrt(flat @ (a, b, b, c) + 2.0 * root_det)
+        t = np.sqrt(flat @ (a, b, b, c) + 2.0 * root_det)
+    if not np.isfinite(t).all():
+        raise ArithmeticError("planar cross term is not finite")
+    return root_det, t
 
 
 def _bures_sq(center: LocScatter, means: np.ndarray, covs: np.ndarray,

@@ -25,7 +25,7 @@ from .barycenter import (DEFAULT_MAX_ITER, DEFAULT_TOL, WeightedEnsemble,
                          _barycenter)
 from .errors import (BadWeights, DegenerateTrim, InvalidInput,
                      UnsupportedConfiguration, check_alpha, check_count)
-from .locscatter import LocScatter, _bures_sq, _planar_stack
+from .locscatter import LocScatter
 from .rng import RngState
 
 __all__ = [
@@ -128,24 +128,21 @@ def _warm_start(solved: dict, lam_star: np.ndarray) -> np.ndarray | None:
 
 
 def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int,
-                  solved: dict, planar=None):
+                  solved: dict):
     """One multistart path; returns (bary, weights, variance, history).
 
     ``solved`` maps the bytes of a kept-weight vector to its barycenter
     solve, in the order solved; the path reuses an entry instead of
-    solving that set again, warm-starts the solves it makes from it and
-    adds them.  ``planar``, the ensemble's ``_planar_stack`` at d = 2,
-    serves every distance the path takes.
+    solving that set again, and adds the solves it makes, warm-started.
     """
     gen = RngState(cfg.seed).split(index).generator()
     center = ens.members[int(gen.integers(ens.size))]
     means, covs = ens.means(), ens.covs()
-    lam_final = None
-    var = None
+    lam_final = var = None
     history: list[float] = []
     for _ in range(OUTER_MAX_ITER):
-        lam_star = trim_weights(_bures_sq(center, means, covs, planar),
-                                ens.weights, cfg.alpha)
+        lam_star = trim_weights(ens._distances_sq(center), ens.weights,
+                                cfg.alpha)
         if lam_final is not None and np.array_equal(lam_star, lam_final):
             break
         key = lam_star.tobytes()
@@ -155,12 +152,10 @@ def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int,
             res = solved[key] = _barycenter(
                 lam_star[active], means[active], covs[active],
                 DEFAULT_TOL, DEFAULT_MAX_ITER, _warm_start(solved, lam_star))
-        center = res.bary
-        new_var = res.variance
+        center, new_var = res.bary, res.variance
         history.append(new_var)
         stalled = var is not None and var - new_var < 1e-12 * (1.0 + new_var)
-        lam_final = lam_star
-        var = new_var
+        lam_final, var = lam_star, new_var
         if stalled:
             break
     return center, lam_final, var, history
@@ -169,10 +164,9 @@ def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int,
 def _trimmed_result(ens: WeightedEnsemble, bary: LocScatter,
                     lam_star: np.ndarray, variance: float,
                     outer_iterations: int, restart_index: int,
-                    history, restart_variances,
-                    planar=None) -> TrimmedResult:
+                    history, restart_variances) -> TrimmedResult:
     """Package a solution; the radius is measured over the kept atoms."""
-    d2 = _bures_sq(bary, ens.means(), ens.covs(), planar)
+    d2 = ens._distances_sq(bary)
     return TrimmedResult(bary=bary, active_weights=lam_star,
                          trimmed_variance=float(variance),
                          outer_iterations=outer_iterations,
@@ -196,14 +190,12 @@ def trimmed_barycenter(ens: WeightedEnsemble, cfg: TrimConfig) -> TrimmedResult:
     ensemble and the config.
     """
     solved: dict = {}
-    planar = _planar_stack(ens.covs())
-    paths = [_restart_path(ens, cfg, r, solved, planar)
-             for r in range(cfg.restarts)]
+    paths = [_restart_path(ens, cfg, r, solved) for r in range(cfg.restarts)]
     finals = [p[2] for p in paths]
     best = min(range(cfg.restarts), key=finals.__getitem__)
     center, lam_star, var, history = paths[best]
     return _trimmed_result(ens, center, lam_star, var, len(history), best,
-                           history, finals, planar)
+                           history, finals)
 
 
 @dataclass(frozen=True)
@@ -230,7 +222,7 @@ def verify_ball_property(result: TrimmedResult, ens: WeightedEnsemble,
     if lam_star.shape != ens.weights.shape:
         raise BadWeights("active weights do not match the ensemble")
     full = ens.weights / (1.0 - alpha)
-    d = np.sqrt(_bures_sq(result.bary, ens.means(), ens.covs()))
+    d = np.sqrt(ens._distances_sq(result.bary))
     positive = lam_star > 0.0
     violations: list[str] = []
     if not np.any(positive):

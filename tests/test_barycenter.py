@@ -704,12 +704,12 @@ class TestPlanarStep:
         d2 = _bures_sq(res.bary, ens.means(), ens.covs())
         assert trim.radius == float(np.sqrt(np.max(d2)))
 
-    @pytest.mark.parametrize("scale", [1e78, 1e120])
+    @pytest.mark.parametrize("scale", [1e78, 1e120, 1e150])
     def test_huge_scale_is_the_scaled_solve(self, scale):
         # Past scale 1e77 the product det S det S_j overflows, so the cross
         # terms take the product of the roots of the determinants instead:
         # the solve, the trimming and the distances then hold up to about
-        # 1e154 without a warning.
+        # 1e154 without a warning (past it they raise ArithmeticError).
         ens = random_ensemble(np.random.default_rng(5), 6, 2,
                               condition_cap=10.0)
         big = WeightedEnsemble(ens.weights, tuple(

@@ -33,6 +33,23 @@ def gauss_doc(path, params):
     return write_doc(path, [member_obj(*p) for p in params])
 
 
+def planar_doc(path, scale):
+    """Six planar members, all scatters ``scale`` times a fixed one."""
+    root = scale ** 0.5
+    return gauss_doc(path, [
+        (1.0 / 6.0, [i * root, -i * root],
+         [[(1 + i) * scale, 0.3 * scale], [0.3 * scale, (2 + i % 3) * scale]])
+        for i in range(6)])
+
+
+def cli_process(args):
+    """Run the CLI in a fresh interpreter on this checkout's sources."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-m", "wcons.cli"] + args,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
 def parse_summary(text):
     """Collect 'key = value' stdout lines; repeated keys become lists."""
     out = {}
@@ -513,31 +530,48 @@ class TestExitCodes:
         # lines to stderr ahead of the error.
         path = gauss_doc(tmp_path / "w.json", [(1e308, [0.0], [[1.0]]),
                                                (1e308, [1.0], [[1.0]])])
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run([sys.executable, "-m", "wcons.cli",
-                               "barycenter", path] + flags,
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(src)})
+        proc = cli_process(["barycenter", path] + flags)
         assert proc.returncode == 1
         assert proc.stderr == f"error: {path}: weights sum to inf\n"
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("flags", [["barycenter"],
-                                       ["trim", "--alpha", "0.2"]])
-    def test_overflowing_distance_is_exit_2(self, tmp_path, dim, flags):
-        # A real process: the squared mean gap overflows, which used to
-        # print numpy's warning and report an infinite variance with exit 0.
-        eye = np.eye(dim).tolist()
-        far = [1e300] + [0.0] * (dim - 1)
-        path = gauss_doc(tmp_path / "far.json", [(0.5, [0.0] * dim, eye),
-                                                 (0.5, far, eye)])
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run([sys.executable, "-m", "wcons.cli"] + flags
-                              + [path],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(src)})
+    # 2 and 3: two members 1e300 apart in that dimension, whose squared
+    # mean gap overflows.  "planar": six planar members at scale 1e160,
+    # whose determinants overflow.  "diagonal": planar members with finite
+    # determinants whose cross terms tr(S S_j) overflow.
+    @pytest.mark.parametrize("doc", [2, 3, "planar", "diagonal"])
+    @pytest.mark.parametrize("flags", [
+        ["barycenter"], ["trim", "--alpha", "0.2"], ["compare"],
+        ["variance-curve", "--alphas", "0:0.2:0.1"]])
+    def test_overflowing_distance_is_exit_2(self, tmp_path, doc, flags):
+        # A real process, so a numpy warning would show on stderr: each
+        # overflow must end in one solver-failure line and no --out file.
+        if doc == "planar":
+            path = planar_doc(tmp_path / "huge.json", 1e160)
+        elif doc == "diagonal":
+            path = gauss_doc(tmp_path / "diag.json", [
+                (1.0 / 3.0, [float(i), -float(i)],
+                 [[(1 + i) * 1e156, 0.0], [0.0, (1 + i) * 1e147]])
+                for i in range(3)])
+        else:
+            eye = np.eye(doc).tolist()
+            far = [1e300] + [0.0] * (doc - 1)
+            path = gauss_doc(tmp_path / "far.json",
+                             [(0.5, [0.0] * doc, eye), (0.5, far, eye)])
+        out = tmp_path / "out"
+        proc = cli_process(flags + [path, "--out", str(out)])
         assert proc.returncode == 2
-        assert proc.stderr == "solver failure: squared distance is not finite\n"
+        what = "squared distance" if doc in (2, 3) else "planar cross term"
+        assert proc.stderr == f"solver failure: {what} is not finite\n"
+        assert not out.exists()
+
+    def test_huge_planar_ellipse_is_exit_0(self, tmp_path):
+        # Tracing ellipses takes no distance, so a document past the
+        # planar scale edge still traces, without a warning.
+        path = planar_doc(tmp_path / "huge.json", 1e160)
+        proc = cli_process(["ellipse", path, "--count", "4",
+                            "--out", str(tmp_path / "e.csv")])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
 
 def failure_probe(tmp_path, probe):
