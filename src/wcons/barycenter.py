@@ -314,18 +314,21 @@ def _representation(lam: np.ndarray, covs: np.ndarray) -> _Arrays:
     return (_Arrays if planar is None else _Floats)(lam, covs, planar)
 
 
-def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
-                tol: float, max_iter: int,
-                start: np.ndarray | None = None) -> BarycenterResult:
-    """Barycenter of the stacked members ``means``, ``covs`` weighted by
-    ``lam``; the accelerated scatter iteration starts from ``start`` or, by
-    default, the weighted mean of the scatters.  A single atom is its own
-    barycenter: it starts at its scatter whatever ``start`` says and
-    returns at step 0 with the residual that step measured."""
-    single = lam.shape[0] == 1
+def _barycenter(ens: WeightedEnsemble, lam: np.ndarray,
+                start: np.ndarray | None = None, tol: float = DEFAULT_TOL,
+                max_iter: int = DEFAULT_MAX_ITER):
+    """Barycenter of the atoms of ``ens`` kept by the full-length weights
+    ``lam`` (those > 0), and its squared distances to every atom.  The
+    accelerated scatter iteration starts from ``start`` or, by default, the
+    weighted mean of the kept scatters.  A single kept atom is its own
+    barycenter: it starts at its scatter whatever ``start`` says and returns
+    at step 0 with the residual that step measured."""
+    kept = lam > 0.0
+    lam_k, means, covs = lam[kept], ens.means()[kept], ens.covs()[kept]
+    single = lam_k.shape[0] == 1
     if single or start is None:
-        start = np.einsum("k,kij->ij", lam, covs)
-    rep = _representation(lam, covs)
+        start = np.einsum("k,kij->ij", lam_k, covs)
+    rep = _representation(lam_k, covs)
     s = rep.iterate(start)
     d = covs.shape[-1]
     # Differences of symmetric matrices span d (d + 1) / 2 dimensions; more
@@ -342,11 +345,11 @@ def _barycenter(lam: np.ndarray, means: np.ndarray, covs: np.ndarray,
         residual = float(rep.norm(rep.sub(mixed, s)) / norm_s)
         f = rep.sub(s_next, s)
         if single or (rep.norm(f) / norm_s < tol and residual <= 10.0 * tol):
-            bary = LocScatter(lam @ means, rep.certified(s, cert))
+            bary = LocScatter(lam_k @ means, rep.certified(s, cert))
+            d2 = ens._distances_sq(bary)
             return BarycenterResult(
                 bary=bary, iterations=step, residual=residual,
-                variance=float(lam @ _bures_sq(bary, means, covs,
-                                               rep.planar)))
+                variance=float(lam_k @ d2[kept])), d2
         if last is not None:
             history[pairs % depth] = (rep.sub(s_next, last[0]),
                                       rep.sub(f, last[1]))
@@ -387,7 +390,7 @@ def fixed_point_barycenter(ens: WeightedEnsemble, tol: float = DEFAULT_TOL,
     """
     check_positive(tol, "tol")
     check_count(max_iter, "max_iter", 0)
-    return _barycenter(ens.weights, ens.means(), ens.covs(), tol, max_iter)
+    return _barycenter(ens, ens.weights, tol=tol, max_iter=max_iter)[0]
 
 
 def g_map(ens: WeightedEnsemble, eta: LocScatter) -> LocScatter:

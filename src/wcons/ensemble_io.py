@@ -181,7 +181,11 @@ def read_quantile_grid(path) -> QuantileGrid:
         raise ParseError(f"{path}: {exc}")
     if values.size < 2:
         raise ParseError(f"{path}: need at least two quantile values")
-    return QuantileGrid(values)
+    try:
+        return QuantileGrid(values)
+    except InvalidInput as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def write_quantile_grid(path, grid: QuantileGrid) -> None:

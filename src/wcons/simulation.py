@@ -288,12 +288,16 @@ def c_step_path(points: np.ndarray, h: int, mean: np.ndarray,
     support, logdet_history)``.
     """
     pts = _points(points)
+    n, d = pts.shape
     check_count(h, "h", 1)
-    if not h <= pts.shape[0]:
-        raise InvalidInput(f"need 1 <= h <= n, got h={h}, n={pts.shape[0]}")
+    if not h <= n:
+        raise InvalidInput(f"need 1 <= h <= n, got h={h}, n={n}")
+    mean, cov = _finite(mean, "mean"), _finite(cov, "cov")
+    if mean.shape != (d,) or cov.shape != (d, d):
+        raise InvalidInput(f"start must be a ({d},) mean and a ({d}, {d}) "
+                           f"cov, got {mean.shape} and {cov.shape}")
     means, covs, supports, history, steps, failed = _c_step_paths(
-        pts[None], np.zeros(1, dtype=np.intp), h,
-        _finite(mean, "mean")[None], _finite(cov, "cov")[None])
+        pts[None], np.zeros(1, dtype=np.intp), h, mean[None], cov[None])
     if failed[0]:
         raise SingularSubset("concentration path hit a singular covariance")
     support = supports[0] if steps[0] else None

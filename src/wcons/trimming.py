@@ -1,17 +1,18 @@
 """Trimmed barycenters: consensus that may discard an alpha fraction of mass.
 
-Trimming a weighted ensemble keeps the fraction 1 - alpha of the weight
-that sits closest to a candidate center, splitting one atom at the boundary
-if needed, and renormalizes.  Alternating that concentration step with a
-barycenter recomputation descends the trimmed variance; multistart guards
-against local minima.  The restarts of one call share their inner
-barycenter solves: a kept-weight vector already solved by an earlier
-restart is not solved again, and a new one starts its iteration from the
-barycenter scatter of the nearest solved kept set (a cold start for the
-call's first solve).  Warm starts move the floats at the level of the
-solver's tolerance, and the result still depends only on the ensemble
-and the config.  An exhaustive subset search
-provides an independent oracle for small equal-weight ensembles.
+Trimming a weighted ensemble reweights its atoms: it keeps the fraction
+1 - alpha of the weight nearest to a candidate center, splitting one atom
+at the boundary if needed, and renormalizes.  Alternating that
+concentration step with a barycenter solve of the kept weights descends the
+trimmed variance; multistart guards against local minima.  Each solve also
+returns the squared distances from its barycenter to every atom, which
+drive the next trim, the variance and the radius.  The restarts of one call
+share their solves: a kept-weight vector already solved is not solved
+again, and a new one starts from the barycenter scatter of the nearest
+solved kept set (a cold start for the call's first solve).  Warm starts
+move the floats at the level of the solver's tolerance; the result still
+depends only on the ensemble and the config.  An exhaustive subset search
+is an independent oracle for small equal-weight ensembles.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycenter import (DEFAULT_MAX_ITER, DEFAULT_TOL, WeightedEnsemble,
-                         _barycenter)
+from .barycenter import WeightedEnsemble, _barycenter
 from .errors import (BadWeights, DegenerateTrim, InvalidInput,
                      UnsupportedConfiguration, check_alpha, check_count)
 from .locscatter import LocScatter
@@ -89,14 +89,17 @@ def trim_weights(distances, weights, alpha: float) -> np.ndarray:
     Full weight is kept up to the smallest rank whose cumulative weight
     reaches 1 - alpha, the boundary atom keeps the remainder, everything
     beyond is zeroed, and the kept weights are divided by 1 - alpha.
+    Distances must be finite, and weights finite and strictly positive.
     """
     check_alpha(alpha)
     d = np.asarray(distances, dtype=float)
     lam = np.asarray(weights, dtype=float)
     if d.shape != lam.shape or d.ndim != 1 or d.shape[0] == 0:
         raise BadWeights("distances and weights must be matching vectors")
-    if np.any(lam <= 0.0):
-        raise BadWeights("weights must be strictly positive")
+    if np.any(lam <= 0.0) or not np.isfinite(lam).all():
+        raise BadWeights("weights must be finite and strictly positive")
+    if not np.isfinite(d).all():
+        raise InvalidInput("distances must be finite")
     if alpha == 0.0:
         return lam.copy()
     target = 1.0 - alpha
@@ -124,49 +127,45 @@ def _warm_start(solved: dict, lam_star: np.ndarray) -> np.ndarray | None:
     keys = list(solved)
     lams = np.frombuffer(b"".join(keys)).reshape(len(keys), -1)
     gaps = np.abs(lams - lam_star).sum(axis=1)
-    return solved[keys[int(np.argmin(gaps))]].bary.cov.entries
+    return solved[keys[int(np.argmin(gaps))]][0].bary.cov.entries
 
 
 def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int,
                   solved: dict):
-    """One multistart path; returns (bary, weights, variance, history).
-
-    ``solved`` maps the bytes of a kept-weight vector to its barycenter
-    solve, in the order solved; the path reuses an entry instead of
-    solving that set again, and adds the solves it makes, warm-started.
-    """
+    """One multistart path: (bary, weights, variance, history, d2), with
+    ``d2`` the squared distances from ``bary`` to every atom.  ``solved``
+    maps the bytes of a kept-weight vector to its solve, in the order
+    solved; the path reuses an entry instead of solving that set again and
+    adds the solves it makes, warm-started.  Each trim reads the distances
+    of the last solve; only the start member's are computed here."""
     gen = RngState(cfg.seed).split(index).generator()
-    center = ens.members[int(gen.integers(ens.size))]
-    means, covs = ens.means(), ens.covs()
+    d2 = ens._distances_sq(ens.members[int(gen.integers(ens.size))])
     lam_final = var = None
     history: list[float] = []
     for _ in range(OUTER_MAX_ITER):
-        lam_star = trim_weights(ens._distances_sq(center), ens.weights,
-                                cfg.alpha)
+        lam_star = trim_weights(d2, ens.weights, cfg.alpha)
         if lam_final is not None and np.array_equal(lam_star, lam_final):
             break
         key = lam_star.tobytes()
-        res = solved.get(key)
-        if res is None:
-            active = lam_star > 0.0
-            res = solved[key] = _barycenter(
-                lam_star[active], means[active], covs[active],
-                DEFAULT_TOL, DEFAULT_MAX_ITER, _warm_start(solved, lam_star))
-        center, new_var = res.bary, res.variance
+        if key not in solved:
+            solved[key] = _barycenter(ens, lam_star,
+                                      _warm_start(solved, lam_star))
+        res, d2 = solved[key]
+        new_var = res.variance
         history.append(new_var)
         stalled = var is not None and var - new_var < 1e-12 * (1.0 + new_var)
         lam_final, var = lam_star, new_var
         if stalled:
             break
-    return center, lam_final, var, history
+    return res.bary, lam_final, var, history, d2
 
 
-def _trimmed_result(ens: WeightedEnsemble, bary: LocScatter,
-                    lam_star: np.ndarray, variance: float,
-                    outer_iterations: int, restart_index: int,
-                    history, restart_variances) -> TrimmedResult:
-    """Package a solution; the radius is measured over the kept atoms."""
-    d2 = ens._distances_sq(bary)
+def _trimmed_result(bary: LocScatter, d2: np.ndarray, lam_star: np.ndarray,
+                    variance: float, outer_iterations: int,
+                    restart_index: int, history,
+                    restart_variances) -> TrimmedResult:
+    """Package a solution whose squared distances to every atom are ``d2``;
+    the radius is measured over the kept atoms."""
     return TrimmedResult(bary=bary, active_weights=lam_star,
                          trimmed_variance=float(variance),
                          outer_iterations=outer_iterations,
@@ -193,8 +192,8 @@ def trimmed_barycenter(ens: WeightedEnsemble, cfg: TrimConfig) -> TrimmedResult:
     paths = [_restart_path(ens, cfg, r, solved) for r in range(cfg.restarts)]
     finals = [p[2] for p in paths]
     best = min(range(cfg.restarts), key=finals.__getitem__)
-    center, lam_star, var, history = paths[best]
-    return _trimmed_result(ens, center, lam_star, var, len(history), best,
+    center, lam_star, var, history, d2 = paths[best]
+    return _trimmed_result(center, d2, lam_star, var, len(history), best,
                            history, finals)
 
 
@@ -304,17 +303,13 @@ def brute_force_trimmed(ens: WeightedEnsemble, alpha: float) -> TrimmedResult:
         raise UnsupportedConfiguration(
             f"alpha = {alpha!r} is not a multiple of 1/{k}")
     keep = k - j
-    lam = np.full(keep, 1.0 / keep)
-    means, covs = ens.means(), ens.covs()
     best = None
     for subset in itertools.combinations(range(k), keep):
-        idx = list(subset)
-        res = _barycenter(lam, means[idx], covs[idx], DEFAULT_TOL,
-                          DEFAULT_MAX_ITER)
+        lam_star = np.zeros(k)
+        lam_star[list(subset)] = 1.0 / keep
+        res, d2 = _barycenter(ens, lam_star)
         if best is None or res.variance < best[0].variance:
-            best = res, idx
-    res, idx = best
-    lam_star = np.zeros(k)
-    lam_star[idx] = 1.0 / keep
-    return _trimmed_result(ens, res.bary, lam_star, res.variance, 0, 0,
+            best = res, d2, lam_star
+    res, d2, lam_star = best
+    return _trimmed_result(res.bary, d2, lam_star, res.variance, 0, 0,
                            (res.variance,), (res.variance,))

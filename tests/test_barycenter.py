@@ -339,8 +339,8 @@ class TestFixedPointBarycenter:
         # The private start argument is how trimming warm-starts a solve.
         ens = sigma_trio()
         solved = fixed_point_barycenter(ens)
-        again = _barycenter(ens.weights, ens.means(), ens.covs(), 1e-12,
-                            1000, solved.bary.cov.entries)
+        again, _ = _barycenter(ens, ens.weights, solved.bary.cov.entries,
+                               1e-12, 1000)
         assert again.iterations == 0
         np.testing.assert_allclose(again.bary.cov.entries,
                                    solved.bary.cov.entries, rtol=1e-12)
@@ -737,7 +737,7 @@ class TestPlanarStep:
 
         def counting(*args):
             res = solve(*args)
-            steps.append(res.iterations)
+            steps.append(res[0].iterations)
             return res
 
         monkeypatch.setattr(trimming_module, "_barycenter", counting)

@@ -596,6 +596,10 @@ def failure_probe(tmp_path, probe):
     if probe == "missing_grid":
         return ["bary1d", str(grid), str(tmp_path / "absent.csv"),
                 "--out", out]
+    if probe == "decreasing_grid":
+        path = tmp_path / "dec.csv"
+        path.write_text("quantile_value\n1.0\n-1.0\n", encoding="utf-8")
+        return ["bary1d", str(grid), str(path), "--out", out]
     path = gauss_doc(tmp_path / "solid.json",
                      [(1.0, [0.0, 0.0, 0.0], np.eye(3).tolist())])
     return ["ellipse", path, "--out", out]
@@ -607,6 +611,7 @@ FAILURE_PROBES = {
     "deep_document": "deep.json: document nests too deeply",
     "missing_grid": "absent.csv: No such file or directory",
     "ellipse_3d": "error: ellipse tracing requires dimension 2",
+    "decreasing_grid": "dec.csv: quantile values must be nondecreasing",
 }
 
 

@@ -290,6 +290,21 @@ class TestQuantileGridFiles:
         with pytest.raises(InvalidInput, match="nondecreasing"):
             read_quantile_grid(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("1.0\n-1.0\n", "quantile values must be nondecreasing"),
+        ("0.0\nnan\n", "quantile grid has non-finite values"),
+        ("-inf\n0.0\n", "quantile grid has non-finite values"),
+    ])
+    def test_bad_values_name_the_path(self, tmp_path, text, message):
+        # A grid the file holds but QuantileGrid rejects keeps its type
+        # and names the file, as a document's errors do.
+        path = tmp_path / "bad.csv"
+        path.write_text("quantile_value\n" + text, encoding="utf-8")
+        with pytest.raises(InvalidInput) as info:
+            read_quantile_grid(path)
+        assert type(info.value) is InvalidInput
+        assert str(info.value) == f"{path}: {message}"
+
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "grid.csv"
         path.write_text("quantile_value\n\n-1.0\n\n1.0\n\n", encoding="utf-8")

@@ -14,7 +14,7 @@ from wcons import (AffineMap, DimensionMismatch, InvalidInput, LocScatter,
                    center_split, certify_spd, optimal_map,
                    similarity_pushforward, w2_distance_sq, w2_distances_sq)
 
-from wcons.locscatter import _bures_sq
+from wcons.locscatter import _bures_sq, _planar_stack
 
 from helpers import (ENVELOPE, gauss, gauss_1d, planar_psd, random_ensemble,
                      random_member, random_orthogonal)
@@ -259,6 +259,33 @@ class TestPlanarClosedForm:
         got = _bures_sq(center, means, covs)
         ref, _ = eigvalsh_bures_sq(center, means, covs)
         assert np.all(np.abs(got - np.maximum(ref, 0.0)) <= 1e-12 * scales)
+
+
+class TestRowIndependence:
+    """A row of the kernel does not depend on which other members share the
+    call: a trimmed solve reads its kept atoms' distances, and its
+    variance, from its distances to every atom.  (Past a planar scale of
+    about 1e75 it can: the overflow branch of the planar cross term is
+    chosen from the largest determinant in the call.)"""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    def test_masked_subset_is_the_full_call(self, dim):
+        # Each center is a member that stays kept, so its own row takes
+        # the Cholesky pass off d = 2.
+        gen = np.random.default_rng(310 + dim)
+        for cap in (1e2, 1e4, 1e6):
+            for _ in range(8):
+                k = int(gen.integers(5, 120))
+                ens = random_ensemble(gen, k, dim, condition_cap=cap)
+                means, covs = ens.means(), ens.covs()
+                own = int(gen.integers(k))
+                kept = gen.random(k) < 0.8
+                kept[own] = True
+                center = ens.members[own]
+                full = _bures_sq(center, means, covs, _planar_stack(covs))
+                part = _bures_sq(center, means[kept], covs[kept],
+                                 _planar_stack(covs[kept]))
+                assert full[kept].tobytes() == part.tobytes()
 
 
 class TestOptimalMap:

@@ -376,6 +376,22 @@ class TestCStepPath:
         with pytest.raises(InvalidInput, match="cov"):
             c_step_path(pts, 8, mean, np.array([[1.0, bad], [bad, 1.0]]))
 
+    @pytest.mark.parametrize("mean, cov", [
+        (np.zeros(1), np.eye(2)),
+        (np.zeros(2), np.eye(1)),
+        (np.zeros(2), np.eye(3)),
+        (np.zeros((1, 2)), np.eye(2)),
+        (np.zeros(2), np.stack([np.eye(2)] * 2)),
+    ])
+    def test_start_shape_checked(self, mean, cov, monkeypatch):
+        # A start that does not fit the points is rejected before any
+        # concentration step runs.
+        monkeypatch.setattr(simulation, "_c_step_paths", None)
+        pts = RngState(4).generator().standard_normal((20, 2))
+        with pytest.raises(InvalidInput,
+                           match=r"\(2,\) mean and a \(2, 2\) cov"):
+            c_step_path(pts, 15, mean, cov)
+
 
 def start_fits(starts):
     """Mean and maximum-likelihood covariance of each ``(b, m, d)`` start

@@ -94,6 +94,20 @@ class TestTrimWeights:
         with pytest.raises(BadWeights):
             trim_weights([1.0, 2.0], [0.5, -0.5], 0.1)
 
+    @pytest.mark.parametrize("distances, weights, error, message", [
+        ([1.0, np.nan, 2.0], [0.3, 0.3, 0.4], InvalidInput,
+         "distances must be finite"),
+        ([np.inf, 1.0], [0.5, 0.5], InvalidInput, "distances must be finite"),
+        ([1.0, -np.inf], [0.5, 0.5], InvalidInput, "distances must be finite"),
+        ([1.0, 2.0], [np.inf, 1.0], BadWeights,
+         "weights must be finite and strictly positive"),
+        ([1.0, 2.0], [0.5, np.nan], BadWeights,
+         "weights must be finite and strictly positive"),
+    ])
+    def test_non_finite_inputs(self, distances, weights, error, message):
+        with pytest.raises(error, match=message):
+            trim_weights(distances, weights, 0.2)
+
     def test_insufficient_total_weight(self):
         with pytest.raises(DegenerateTrim):
             trim_weights([1.0, 2.0], [0.25, 0.25], 0.4)
@@ -259,8 +273,8 @@ def cold_trimmed_barycenter(ens, cfg, monkeypatch):
                  for r in range(cfg.restarts)]
     finals = [p[2] for p in paths]
     best = min(range(cfg.restarts), key=finals.__getitem__)
-    center, lam_star, var, history = paths[best]
-    return trimming._trimmed_result(ens, center, lam_star, var, len(history),
+    center, lam_star, var, history, d2 = paths[best]
+    return trimming._trimmed_result(center, d2, lam_star, var, len(history),
                                     best, history, finals)
 
 
@@ -285,19 +299,44 @@ class TestSharedSolves:
         # One solve per outer step that does not stop on a repeated set.
         outer_steps = sum(len(trimming._restart_path(ens, cfg, r, {})[3])
                           for r in range(cfg.restarts))
-        # A solve is identified by its whole input: the kept weights alone
-        # can coincide for different kept atoms.
+        # A solve is identified by its full-length kept-weight vector,
+        # which names its kept atoms.
         inputs = []
         solve = trimming._barycenter
 
-        def counting(lam, means, covs, *args):
-            inputs.append(lam.tobytes() + means.tobytes() + covs.tobytes())
-            return solve(lam, means, covs, *args)
+        def counting(ens, lam, *args):
+            inputs.append(lam.tobytes())
+            return solve(ens, lam, *args)
 
         monkeypatch.setattr(trimming, "_barycenter", counting)
         trimmed_barycenter(ens, cfg)
         assert len(inputs) == len(set(inputs))
         assert len(inputs) < outer_steps
+
+    @pytest.mark.parametrize("case", ["toy", "d2_k80", "d8_k20"])
+    def test_distances_once_per_solve_and_start(self, case, monkeypatch):
+        # Each solve measures its barycenter against every atom once, and
+        # those distances drive the next trim, the variance and the
+        # radius; the only other distances are each restart's start.
+        ens = {"toy": ellipse_toy_ensemble().ensemble,
+               "d2_k80": far_outlier_ensemble(80, 80, 2),
+               "d8_k20": far_outlier_ensemble(81, 20, 8)}[case]
+        cfg = TrimConfig(alpha=0.2, restarts=7, seed=5)
+        centers, solves = [], []
+        measure, solve = WeightedEnsemble._distances_sq, trimming._barycenter
+
+        def measuring(self, center):
+            centers.append(center)
+            return measure(self, center)
+
+        def counting(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(WeightedEnsemble, "_distances_sq", measuring)
+        monkeypatch.setattr(trimming, "_barycenter", counting)
+        trimmed_barycenter(ens, cfg)
+        assert len(centers) == cfg.restarts + len(solves)
 
     @pytest.mark.parametrize("restarts", [1, 7])
     @pytest.mark.parametrize("alpha", [0.0, 0.2])
@@ -337,11 +376,9 @@ class TestWarmStarts:
                "c": np.array([0.5, 0.0, 0.5, 0.0])}
         solved = {}
         for name in lam:
-            active = lam[name] > 0.0
             solved[lam[name].tobytes()] = trimming._barycenter(
-                lam[name][active], ens.means()[active], ens.covs()[active],
-                1e-12, 1000)
-        starts = [res.bary.cov.entries for res in solved.values()]
+                ens, lam[name], None, 1e-12, 1000)
+        starts = [res.bary.cov.entries for res, _ in solved.values()]
         # [0.5, 0.25, 0.25, 0] lies at L1 distance 0.5 from each of a, b
         # and c: the first solved wins.
         target = np.array([0.5, 0.25, 0.25, 0.0])
@@ -353,8 +390,8 @@ class TestWarmStarts:
         # No earlier solve: a cold start.
         assert trimming._warm_start({}, target) is None
         # One kept atom starts at its own scatter whatever the warm start.
-        lone = trimming._barycenter(np.ones(1), ens.means()[2:3],
-                                    ens.covs()[2:3], 1e-12, 1000, starts[0])
+        lone, _ = trimming._barycenter(ens, np.array([0.0, 0.0, 1.0, 0.0]),
+                                       starts[0], 1e-12, 1000)
         assert lone.iterations == 0
         assert (lone.bary.cov.entries.tobytes()
                 == ens.members[2].cov.entries.tobytes())
@@ -378,7 +415,7 @@ class TestWarmStarts:
         ens = random_ensemble(np.random.default_rng(83 + dim), 4, dim,
                               condition_cap=1e6, equal=True)
         paths, _ = self.lone_atom_paths(ens)
-        for center, lam_star, var, _ in paths:
+        for center, lam_star, var, _, _ in paths:
             (i,) = np.flatnonzero(lam_star)
             member = ens.members[i]
             assert center.mean.tobytes() == member.mean.tobytes()
@@ -418,9 +455,9 @@ class TestWarmStarts:
         steps = []
         solve = trimming._barycenter
 
-        def counting(lam, means, covs, *args):
-            res = solve(lam, means, covs, *args)
-            steps.append(res.iterations)
+        def counting(*args):
+            res = solve(*args)
+            steps.append(res[0].iterations)
             return res
 
         monkeypatch.setattr(trimming, "_barycenter", counting)
