@@ -33,7 +33,8 @@ arXiv:1712.01504): with R = S^{1/2}, s_j = sqrt(det S det S_j) and t_j =
 sqrt(tr(S S_j) + 2 s_j), sum_j lam_j (R S_j R)^{1/2} = R A R + sigma I for
 A = sum_j (lam_j / t_j) S_j and sigma = sum_j lam_j s_j / t_j, and the
 next iterate is A S A + 2 sigma A + sigma^2 S^{-1}; only these sums over
-the members are arrays.
+the members are arrays, on the rows the ensemble forms once for its
+distances, read through the kept mask.
 """
 
 from __future__ import annotations
@@ -147,9 +148,9 @@ def _scatter_step(spd: SpdMatrix, covs: np.ndarray, lam: np.ndarray):
 
 def _planar_step(s, eig, lam: np.ndarray, planar):
     """The d = 2 step of the module docstring from ``s = (a, b, c)``
-    certified as ``eig = _certify_planar(*s)``, with ``planar =
-    _planar_stack(covs)``: R A R + sigma I and the next iterate, each as
-    ``(a, b, c)``."""
+    certified as ``eig = _certify_planar(*s)``, on the members' rows
+    ``planar`` (see :func:`_planar_cross`): R A R + sigma I and the next
+    iterate, each as ``(a, b, c)``."""
     a, b, c = s
     (l1, l2), (v00, v01, v10, v11) = eig
     root_det, t = _planar_cross(s, l1 * l2, planar)
@@ -307,13 +308,6 @@ class _Floats(_Arrays):
         return _planar_extrapolate(g, f, history)
 
 
-def _representation(lam: np.ndarray, covs: np.ndarray) -> _Arrays:
-    """The iterate's arithmetic for the members ``covs`` weighted by
-    ``lam``, chosen from their dimension: floats at d = 2, else arrays."""
-    planar = _planar_stack(covs)
-    return (_Arrays if planar is None else _Floats)(lam, covs, planar)
-
-
 def _barycenter(ens: WeightedEnsemble, lam: np.ndarray,
                 start: np.ndarray | None = None, tol: float = DEFAULT_TOL,
                 max_iter: int = DEFAULT_MAX_ITER):
@@ -328,7 +322,11 @@ def _barycenter(ens: WeightedEnsemble, lam: np.ndarray,
     single = lam_k.shape[0] == 1
     if single or start is None:
         start = np.einsum("k,kij->ij", lam_k, covs)
-    rep = _representation(lam_k, covs)
+    planar = ens._planar
+    if planar is not None:
+        # The whole stack's largest determinant only screens for overflow.
+        planar = tuple(x[kept] for x in planar[:3]) + planar[3:]
+    rep = (_Arrays if planar is None else _Floats)(lam_k, covs, planar)
     s = rep.iterate(start)
     d = covs.shape[-1]
     # Differences of symmetric matrices span d (d + 1) / 2 dimensions; more
@@ -404,7 +402,8 @@ def g_map(ens: WeightedEnsemble, eta: LocScatter) -> LocScatter:
     if eta.dim != ens.dim:
         raise DimensionMismatch(f"reference has dimension {eta.dim}, "
                                 f"ensemble {ens.dim}")
-    rep = _representation(ens.weights, ens.covs())
+    rep = (_Arrays if ens._planar is None else _Floats)(
+        ens.weights, ens.covs(), ens._planar)
     s = rep.iterate(eta.cov.entries)
     cov = rep.matrix(rep.step(s, rep.certify(s))[1])
     return LocScatter(ens.weights @ ens.means(), certify_spd(cov))

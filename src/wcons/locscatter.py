@@ -13,9 +13,10 @@ Jain & Lim, arXiv:1712.01504):
     tr((S_P^{1/2} S_Q S_P^{1/2})^{1/2})
         = sqrt(tr(S_P S_Q) + 2 sqrt(det S_P det S_Q)),
 
-which is how planar distances are computed.  The product det S_P det S_Q
-overflows past a scale of about 1e77; there it is taken as the product of
-the roots, which moves the planar edge to about 1e154, where tr(S_P S_Q)
+which is how planar distances are computed.  Where det S_P det S_Q
+overflows (past a scale of about 1e77) it is taken as the product of the
+roots, pair by pair, so a distance row never depends on the other members
+of the call.  The planar edge is then about 1e154, where tr(S_P S_Q)
 overflows: past it the closed forms raise ``ArithmeticError`` (a solver
 failure, CLI exit 2).  Other dimensions take the eigenvalues of S_P^{1/2} S_Q
 S_P^{1/2}, and recompute the cross term as the nuclear norm of L_P^T L_Q
@@ -88,8 +89,9 @@ class AffineMap:
 
 def _planar_stack(covs: np.ndarray):
     """Rows ``(a, b, b, c)``, determinants, traces and the largest
-    determinant (a float) of 2 x 2 scatters; None off d = 2.  Entries that
-    overflow are left inf or nan, without a warning."""
+    determinant of 2 x 2 scatters; None off d = 2.  Entries that overflow
+    are left inf or nan, without a warning.  The largest determinant (a
+    float) only screens for overflow, so a subset of the rows may keep it."""
     if covs.shape[-1] != 2:
         return None
     flat = covs.reshape(-1, 4)
@@ -102,9 +104,11 @@ def _planar_stack(covs: np.ndarray):
 def _planar_cross(s, det: float, planar) -> tuple[np.ndarray, np.ndarray]:
     """``s_j = sqrt(det S det S_j)`` and ``t_j = sqrt(tr(S S_j) + 2 s_j)`` =
     ``tr((S^{1/2} S_j S^{1/2})^{1/2})`` for ``S = [[a, b], [b, c]]`` given
-    as ``s = (a, b, c)``, ``det = det S`` and ``planar =
-    _planar_stack(covs)``.  Raises ``ArithmeticError`` when a ``t_j`` is
-    not finite (it overflowed)."""
+    as ``s = (a, b, c)``, ``det = det S`` and ``planar``, rows of
+    :func:`_planar_stack` with a bound ``top`` on their determinants.  A
+    row whose own product overflows takes ``sqrt(det S) sqrt(det S_j)``;
+    the other rows do not depend on it.  Raises ``ArithmeticError`` when a
+    ``t_j`` is not finite (it overflowed)."""
     flat, dets, _, top = planar
     a, b, c = s
     if math.isfinite(det * top):
@@ -113,7 +117,9 @@ def _planar_cross(s, det: float, planar) -> tuple[np.ndarray, np.ndarray]:
         root_det = np.sqrt(np.maximum(det * dets, 0.0))
         return root_det, np.sqrt(flat @ (a, b, b, c) + 2.0 * root_det)
     with np.errstate(over="ignore", invalid="ignore"):
-        root_det = math.sqrt(det) * np.sqrt(np.maximum(dets, 0.0))
+        prod = det * dets
+        root_det = np.where(np.isfinite(prod), np.sqrt(np.maximum(prod, 0.0)),
+                            math.sqrt(det) * np.sqrt(np.maximum(dets, 0.0)))
         t = np.sqrt(flat @ (a, b, b, c) + 2.0 * root_det)
     if not np.isfinite(t).all():
         raise ArithmeticError("planar cross term is not finite")

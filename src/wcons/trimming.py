@@ -293,6 +293,7 @@ def brute_force_trimmed(ens: WeightedEnsemble, alpha: float) -> TrimmedResult:
     the lexicographically smallest subset) is exact.  Each subset is
     solved like a trimming inner solve.  Only meant for k <= 12.
     """
+    check_alpha(alpha)
     k = ens.size
     if k > 12:
         raise UnsupportedConfiguration(f"subset scan limited to k <= 12, got {k}")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wcons import (AffineMap, DimensionMismatch, InvalidInput, LocScatter,
-                   center_split, certify_spd, optimal_map,
+                   WeightedEnsemble, center_split, certify_spd, optimal_map,
                    similarity_pushforward, w2_distance_sq, w2_distances_sq)
 
 from wcons.locscatter import _bures_sq, _planar_stack
@@ -261,31 +261,58 @@ class TestPlanarClosedForm:
         assert np.all(np.abs(got - np.maximum(ref, 0.0)) <= 1e-12 * scales)
 
 
+def mixed_scale_ensemble(gen):
+    """Eight near-isotropic planar members (condition up to about 3), seven
+    at scale near 1e75 and one at 1e80 in a random place: det S det S_j
+    overflows for the pairs that take in the large one, and for no other."""
+    scales = 1e75 * 10.0 ** gen.uniform(-0.3, 0.3, size=8)
+    scales[gen.integers(8)] = 1e80
+    members = tuple(
+        LocScatter(np.sqrt(s) * gen.standard_normal(2),
+                   certify_spd(planar_psd(s, 10.0 ** gen.uniform(0.0, 0.5),
+                                          gen.uniform(0.0, np.pi))))
+        for s in scales)
+    return WeightedEnsemble.equal_weights(members)
+
+
 class TestRowIndependence:
     """A row of the kernel does not depend on which other members share the
     call: a trimmed solve reads its kept atoms' distances, and its
-    variance, from its distances to every atom.  (Past a planar scale of
-    about 1e75 it can: the overflow branch of the planar cross term is
-    chosen from the largest determinant in the call.)"""
+    variance, from its distances to every atom."""
+
+    @staticmethod
+    def assert_kept_rows_unchanged(gen, ens):
+        # The center is a member that stays kept, so its own row takes the
+        # Cholesky pass off d = 2.  At d = 2 the kept rows are also read
+        # as a solve reads them: keeping the whole stack's determinant
+        # bound.
+        means, covs, k = ens.means(), ens.covs(), ens.size
+        own = int(gen.integers(k))
+        kept = gen.random(k) < 0.8
+        kept[own] = True
+        center = ens.members[own]
+        planar = _planar_stack(covs)
+        full = _bures_sq(center, means, covs, planar)
+        part = _bures_sq(center, means[kept], covs[kept],
+                         _planar_stack(covs[kept]))
+        assert full[kept].tobytes() == part.tobytes()
+        if planar is not None:
+            rows = tuple(x[kept] for x in planar[:3]) + planar[3:]
+            part = _bures_sq(center, means[kept], covs[kept], rows)
+            assert full[kept].tobytes() == part.tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 8])
     def test_masked_subset_is_the_full_call(self, dim):
-        # Each center is a member that stays kept, so its own row takes
-        # the Cholesky pass off d = 2.
         gen = np.random.default_rng(310 + dim)
         for cap in (1e2, 1e4, 1e6):
             for _ in range(8):
                 k = int(gen.integers(5, 120))
-                ens = random_ensemble(gen, k, dim, condition_cap=cap)
-                means, covs = ens.means(), ens.covs()
-                own = int(gen.integers(k))
-                kept = gen.random(k) < 0.8
-                kept[own] = True
-                center = ens.members[own]
-                full = _bures_sq(center, means, covs, _planar_stack(covs))
-                part = _bures_sq(center, means[kept], covs[kept],
-                                 _planar_stack(covs[kept]))
-                assert full[kept].tobytes() == part.tobytes()
+                self.assert_kept_rows_unchanged(
+                    gen, random_ensemble(gen, k, dim, condition_cap=cap))
+        if dim == 2:
+            # Some rows of a call overflow det S det S_j, others do not.
+            for _ in range(40):
+                self.assert_kept_rows_unchanged(gen, mixed_scale_ensemble(gen))
 
 
 class TestOptimalMap:

@@ -11,13 +11,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+import wcons.barycenter as barycenter
+import wcons.locscatter as locscatter
 import wcons.trimming as trimming
 from wcons import (BadWeights, DegenerateTrim, InvalidInput, LocScatter,
                    TrimConfig, TrimmedResult, UnsupportedConfiguration,
-                   WeightedEnsemble, brute_force_trimmed, certify_spd,
-                   ellipse_toy_ensemble, fixed_point_barycenter, trim_weights,
-                   trimmed_barycenter, variance_curve, verify_ball_property,
-                   w2_distance_sq, w2_distances_sq)
+                   WeightedEnsemble, barycenter_variance, brute_force_trimmed,
+                   certify_spd, ellipse_toy_ensemble, fixed_point_barycenter,
+                   g_map, trim_weights, trimmed_barycenter, variance_curve,
+                   verify_ball_property, w2_distance_sq, w2_distances_sq)
 
 from helpers import (far_outlier_ensemble, far_outlier_trio, gauss_1d,
                      random_ensemble, wide_grid)
@@ -338,6 +340,26 @@ class TestSharedSolves:
         trimmed_barycenter(ens, cfg)
         assert len(centers) == cfg.restarts + len(solves)
 
+    def test_planar_rows_formed_once(self, monkeypatch):
+        # Solves, trims and checks read the d = 2 rows the ensemble forms
+        # on first use, each solve through its kept mask.
+        ens = far_outlier_ensemble(80, 80, 2)
+        stack, formed = locscatter._planar_stack, []
+
+        def counting(covs):
+            formed.append(len(covs))
+            return stack(covs)
+
+        monkeypatch.setattr(locscatter, "_planar_stack", counting)
+        monkeypatch.setattr(barycenter, "_planar_stack", counting)
+        bary = fixed_point_barycenter(ens).bary
+        res = trimmed_barycenter(ens, TrimConfig(alpha=0.2, restarts=7,
+                                                 seed=5))
+        assert verify_ball_property(res, ens, 0.2).ok
+        barycenter_variance(ens, res.bary)
+        g_map(ens, bary)
+        assert formed == [ens.size]
+
     @pytest.mark.parametrize("restarts", [1, 7])
     @pytest.mark.parametrize("alpha", [0.0, 0.2])
     @pytest.mark.parametrize("case", ["toy", "d8_k20"])
@@ -627,6 +649,11 @@ class TestBruteForce:
                                (gauss_1d(0.0, 1.0), gauss_1d(1.0, 1.0)))
         with pytest.raises(UnsupportedConfiguration):
             brute_force_trimmed(ens, 0.0)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), "0.2"])
+    def test_rejects_invalid_alpha(self, alpha):
+        with pytest.raises(InvalidInput, match="alpha must lie in"):
+            brute_force_trimmed(far_outlier_trio(), alpha)
 
     def test_rejects_fractional_trim_levels(self):
         with pytest.raises(UnsupportedConfiguration):
