@@ -183,10 +183,10 @@ def _extrapolate(g: np.ndarray, f: np.ndarray, history) -> np.ndarray | None:
     """Type-II Anderson candidate: the plain iterate ``g`` minus the
     combination of the stored iterate differences whose residual
     differences best cancel the current residual ``f``; ``history`` holds
-    the ``(dg, df)`` pairs.  ``None`` when the Gram system of the residual
-    differences is singular or its solution is not finite."""
-    dg, df = (np.concatenate(x).reshape(len(history), -1)
-              for x in zip(*history))
+    the ``(dg, df)`` pairs as an ``(m, 2, d, d)`` array.  ``None`` when the
+    Gram system of the residual differences is singular or its solution is
+    not finite."""
+    dg, df = history.reshape(len(history), 2, -1).transpose(1, 0, 2)
     try:
         gamma = np.linalg.solve(df @ df.T, df @ f.ravel())
     except np.linalg.LinAlgError:
@@ -332,7 +332,8 @@ def _barycenter(ens: WeightedEnsemble, lam: np.ndarray,
     # Differences of symmetric matrices span d (d + 1) / 2 dimensions; more
     # pairs than that would make the Gram matrix singular.
     depth = min(ANDERSON_DEPTH, d * (d + 1) // 2)
-    history = [None] * depth
+    # Array pairs go to one preallocated buffer that _extrapolate reads.
+    history = np.empty((depth, 2, d, d)) if planar is None else [None] * depth
     pairs = 0
     last = cert = None
     for step in range(max_iter + 1):

@@ -13,11 +13,25 @@ class InvalidInput(ValueError):
     """Malformed numeric input (wrong shape, non-finite entries, bad scalar)."""
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number (Python or numpy); a boolean is
+    not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def as_index(value) -> int:
+    """``value`` as a Python int if it is an integer (Python or numpy);
+    :class:`TypeError` otherwise, for a boolean too."""
+    if isinstance(value, bool):
+        raise TypeError(f"a boolean is not an integer: {value!r}")
+    return operator.index(value)
+
+
 def check_count(value, name: str, minimum: int) -> None:
     """Raise :class:`InvalidInput` unless ``value`` is an integer (Python or
-    numpy) of at least ``minimum``."""
+    numpy, not a boolean) of at least ``minimum``."""
     try:
-        ok = operator.index(value) >= minimum
+        ok = as_index(value) >= minimum
     except TypeError:
         ok = False
     if not ok:
@@ -28,13 +42,13 @@ def check_count(value, name: str, minimum: int) -> None:
 def check_alpha(value, name: str = "alpha") -> None:
     """Raise :class:`InvalidInput` unless ``value`` is a real trimming level
     in [0, 1)."""
-    if not (isinstance(value, numbers.Real) and 0.0 <= value < 1.0):
+    if not (is_real(value) and 0.0 <= value < 1.0):
         raise InvalidInput(f"{name} must lie in [0, 1), got {value!r}")
 
 
 def check_positive(value, name: str) -> None:
     """Raise :class:`InvalidInput` unless ``value`` is a finite real > 0."""
-    if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+    if not (is_real(value) and 0.0 < value < math.inf):
         raise InvalidInput(
             f"{name} must be finite and positive, got {value!r}")
 

@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import InvalidInput, check_count
+from .errors import InvalidInput, as_index, check_count
 
 __all__ = ["RngState", "splitmix64"]
 
@@ -35,15 +35,15 @@ def splitmix64(x: int) -> int:
 
 @dataclass(frozen=True)
 class RngState:
-    """A reproducible random state: an integer seed (Python or numpy),
-    reduced to 64 bits."""
+    """A reproducible random state: an integer seed (Python or numpy, not a
+    boolean), reduced to 64 bits."""
 
     seed: int
     algorithm: ClassVar[str] = "pcg64-splitmix64"
 
     def __post_init__(self):
         try:
-            seed = operator.index(self.seed)
+            seed = as_index(self.seed)
         except TypeError:
             raise InvalidInput(
                 f"seed must be an integer, got {self.seed!r}")

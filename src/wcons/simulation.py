@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import importlib.resources
 import math
-import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -22,7 +21,7 @@ import numpy as np
 from .barycenter import (WeightedEnsemble, fixed_point_barycenter,
                          linear_mean)
 from .errors import (InvalidInput, SingularSubset, check_alpha, check_count,
-                     check_positive)
+                     check_positive, is_real)
 from .locscatter import LocScatter, w2_distance_sq
 from .rng import RngState
 from .spd import SpdMatrix, certify_spd
@@ -72,7 +71,8 @@ def _planar_haar(x: np.ndarray):
 def _half_log_cap(dim: int, condition_cap: float) -> float:
     """Check the arguments of :func:`random_spd`; half the log of the cap."""
     check_count(dim, "dim", 1)
-    if not (math.isfinite(condition_cap) and condition_cap >= 1.0):
+    if not (is_real(condition_cap) and math.isfinite(condition_cap)
+            and condition_cap >= 1.0):
         raise InvalidInput("condition cap must be finite and at least 1, "
                            f"got {condition_cap!r}")
     return 0.5 * np.log(condition_cap)
@@ -533,8 +533,7 @@ def gaussian_parameter_law(dim: int = 2, mean_scale: float = 0.3,
     """Law of a random member: Gaussian mean, bounded-condition scatter;
     the arguments are checked once, here."""
     half = _half_log_cap(dim, condition_cap)
-    if not (isinstance(mean_scale, numbers.Real)
-            and math.isfinite(mean_scale)):
+    if not (is_real(mean_scale) and math.isfinite(mean_scale)):
         raise InvalidInput(
             f"mean_scale must be a finite real, got {mean_scale!r}")
 

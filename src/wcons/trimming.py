@@ -3,14 +3,15 @@
 Trimming a weighted ensemble reweights its atoms: it keeps the fraction
 1 - alpha of the weight nearest to a candidate center, splitting one atom
 at the boundary if needed, and renormalizes.  Alternating that
-concentration step with a barycenter solve of the kept weights descends the
-trimmed variance; multistart guards against local minima.  Each solve also
-returns the squared distances from its barycenter to every atom, which
-drive the next trim, the variance and the radius.  The restarts of one call
-share their solves: a kept-weight vector already solved is not solved
-again, and a new one starts from the barycenter scatter of the nearest
-solved kept set (a cold start for the call's first solve).  Warm starts
-move the floats at the level of the solver's tolerance; the result still
+concentration step with a barycenter solve of the kept weights descends
+the trimmed variance until the trimming repeats, as in trimmed k-means;
+multistart guards against local minima.  Each solve also returns the
+squared distances from its barycenter to every atom, which drive the next
+trim, the variance and the radius.  The restarts of one call share their
+solves: a kept set (its kept atoms, and which it keeps whole) is solved
+once, and a new one starts from the barycenter scatter of the nearest
+solved one (a cold start for the call's first solve).  Warm starts move
+the floats at the level of the solver's tolerance; the result still
 depends only on the ensemble and the config.  An exhaustive subset search
 is an independent oracle for small equal-weight ensembles.
 """
@@ -87,8 +88,9 @@ def trim_weights(distances, weights, alpha: float) -> np.ndarray:
     Atoms are ranked by ``distances`` (any monotone transform of distance
     works; squared distances are fine) with ties broken by original index.
     Full weight is kept up to the smallest rank whose cumulative weight
-    reaches 1 - alpha, the boundary atom keeps the remainder, everything
-    beyond is zeroed, and the kept weights are divided by 1 - alpha.
+    reaches 1 - alpha; the boundary atom keeps the remainder, or its whole
+    weight (at most 1 - alpha) if the remainder covers it within
+    ``_CUM_TOL``; the rest is zeroed and kept weights divided by 1 - alpha.
     Distances must be finite, and weights finite and strictly positive.
     """
     check_alpha(alpha)
@@ -113,51 +115,46 @@ def trim_weights(distances, weights, alpha: float) -> np.ndarray:
     kept = np.zeros_like(lam)
     kept[order[:boundary]] = lam[order[:boundary]]
     below = cum[boundary - 1] if boundary > 0 else 0.0
-    kept[order[boundary]] = min(target - below, lam[order[boundary]])
+    # The same bits in any rank order; a lone kept atom weighs exactly 1.
+    rest, whole = target - below, min(lam[order[boundary]], target)
+    kept[order[boundary]] = whole if rest >= whole - _CUM_TOL else rest
     return kept / target
 
 
 def _warm_start(solved: dict, lam_star: np.ndarray) -> np.ndarray | None:
     """Start for the solve of ``lam_star``: the scatter of the solved kept
-    set nearest to it in L1 distance between kept-weight vectors, ties to
-    the earliest solved.  ``None`` (a cold start) for the call's first
-    solve."""
+    set whose stored weights lie nearest to it in L1 distance, ties to the
+    earliest solved.  ``None`` (a cold start) for the call's first solve."""
     if not solved:
         return None
-    keys = list(solved)
-    lams = np.frombuffer(b"".join(keys)).reshape(len(keys), -1)
-    gaps = np.abs(lams - lam_star).sum(axis=1)
-    return solved[keys[int(np.argmin(gaps))]][0].bary.cov.entries
+    entries = list(solved.values())
+    gaps = np.abs(np.stack([e[0] for e in entries]) - lam_star).sum(axis=1)
+    return entries[int(np.argmin(gaps))][1].bary.cov.entries
 
 
 def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int,
                   solved: dict):
     """One multistart path: (bary, weights, variance, history, d2), with
     ``d2`` the squared distances from ``bary`` to every atom.  ``solved``
-    maps the bytes of a kept-weight vector to its solve, in the order
-    solved; the path reuses an entry instead of solving that set again and
-    adds the solves it makes, warm-started.  Each trim reads the distances
-    of the last solve; only the start member's are computed here."""
+    maps a kept set's key to its first weights, solve and ``d2``, in the
+    order solved; the path reuses entries, adds its solves, warm-started,
+    and ends at its first revisited key, on its last solve.  Each trim
+    reads the last solve's distances; only the start's are computed here."""
     gen = RngState(cfg.seed).split(index).generator()
     d2 = ens._distances_sq(ens.members[int(gen.integers(ens.size))])
-    lam_final = var = None
-    history: list[float] = []
+    whole = ens.weights / (1.0 - cfg.alpha)
+    visited: dict = {}  # key -> variance, in the order visited
     for _ in range(OUTER_MAX_ITER):
         lam_star = trim_weights(d2, ens.weights, cfg.alpha)
-        if lam_final is not None and np.array_equal(lam_star, lam_final):
+        key = (lam_star > 0.0).tobytes() + (lam_star == whole).tobytes()
+        if key in visited:
             break
-        key = lam_star.tobytes()
         if key not in solved:
-            solved[key] = _barycenter(ens, lam_star,
-                                      _warm_start(solved, lam_star))
-        res, d2 = solved[key]
-        new_var = res.variance
-        history.append(new_var)
-        stalled = var is not None and var - new_var < 1e-12 * (1.0 + new_var)
-        lam_final, var = lam_star, new_var
-        if stalled:
-            break
-    return res.bary, lam_final, var, history, d2
+            solved[key] = (lam_star, *_barycenter(
+                ens, lam_star, _warm_start(solved, lam_star)))
+        lam_final, res, d2 = solved[key]
+        visited[key] = res.variance
+    return res.bary, lam_final, res.variance, list(visited.values()), d2
 
 
 def _trimmed_result(bary: LocScatter, d2: np.ndarray, lam_star: np.ndarray,
@@ -180,13 +177,13 @@ def trimmed_barycenter(ens: WeightedEnsemble, cfg: TrimConfig) -> TrimmedResult:
 
     Each restart starts from a uniformly drawn member, alternates
     concentration (reweighting toward the current center) with estimation
-    (recomputing the barycenter of the kept atoms) until the kept-weight
-    vector repeats or the trimmed variance stops improving, and the restart
-    with the smallest final variance wins; ties go to the lowest restart
-    index.  Restarts run in order and share their inner solves, so a kept
-    set reached by several restarts is solved once per call, and each new
-    solve starts from the nearest solved set; results depend only on the
-    ensemble and the config.
+    (recomputing the barycenter of the kept atoms) until it reaches a kept
+    set it has already visited, and the restart with the smallest final
+    variance wins; ties go to the lowest restart index.  Restarts run in
+    order and share their inner solves, so a kept set reached by several
+    restarts is solved once per call, reporting the weights it was first
+    reached with, and each new solve starts from the nearest solved set;
+    results depend only on the ensemble and the config.
     """
     solved: dict = {}
     paths = [_restart_path(ens, cfg, r, solved) for r in range(cfg.restarts)]

@@ -325,7 +325,8 @@ class TestFixedPointBarycenter:
     def test_bad_budgets_rejected(self):
         ens = sigma_trio()
         for kwargs in ({"max_iter": -1}, {"tol": 0.0}, {"tol": -1e-12},
-                       {"tol": float("nan")}, {"tol": float("inf")}):
+                       {"tol": float("nan")}, {"tol": float("inf")},
+                       {"tol": True}):
             with pytest.raises(InvalidInput):
                 fixed_point_barycenter(ens, **kwargs)
 
@@ -731,7 +732,9 @@ class TestPlanarStep:
         # Law ensembles of sizes 50 and 200, seeds 0-5, trimmed at 0.2 with
         # three restarts.  The step with per-member roots (commit 091c027)
         # took 452 inner steps in 126 solves; the weighted sum on arrays
-        # took the same, and so does the step on floats.
+        # took the same, and so does the step on floats.  Stopping a
+        # restart at its first revisited kept set drops 13 zero-step
+        # re-solves of kept sets already solved: 452 steps in 113 solves.
         steps = []
         solve = trimming_module._barycenter
 
@@ -749,7 +752,7 @@ class TestPlanarStep:
                     tuple(law(gen) for _ in range(n)))
                 trimmed_barycenter(ens, TrimConfig(alpha=0.2, restarts=3,
                                                    seed=seed))
-        assert (sum(steps), len(steps)) == (452, 126)
+        assert (sum(steps), len(steps)) == (452, 113)
 
 
 class TestVariance:

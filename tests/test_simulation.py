@@ -119,7 +119,8 @@ class TestRngState:
         with pytest.raises(ValueError):
             RngState(0).split(-1)
 
-    @pytest.mark.parametrize("index", [2.5, 2.0, "2", None, -1, np.int64(-3)])
+    @pytest.mark.parametrize("index", [2.5, 2.0, "2", None, -1, np.int64(-3),
+                                       True])
     def test_split_index_must_be_a_nonnegative_integer(self, index):
         with pytest.raises(InvalidInput, match="split index"):
             RngState(0).split(index)
@@ -131,7 +132,8 @@ class TestRngState:
     def test_algorithm_tag(self):
         assert RngState(0).algorithm == "pcg64-splitmix64"
 
-    @pytest.mark.parametrize("seed", [0.9, 2.5, "x", float("nan")])
+    @pytest.mark.parametrize("seed", [0.9, 2.5, "x", float("nan"), True,
+                                      False])
     def test_seed_must_be_an_integer(self, seed):
         with pytest.raises(InvalidInput, match="seed must be an integer"):
             RngState(seed)
@@ -170,7 +172,7 @@ class TestRandomSpd:
         with pytest.raises(InvalidInput, match="must be an integer"):
             random_spd(2.0, 4.0, RngState(3).generator())
 
-    @pytest.mark.parametrize("cap", [math.inf, math.nan])
+    @pytest.mark.parametrize("cap", [math.inf, math.nan, True])
     def test_rejects_non_finite_cap(self, cap):
         # Used to raise OverflowError from the uniform draw.
         with pytest.raises(InvalidInput, match="finite"):
@@ -916,7 +918,7 @@ class TestHospitalExperiment:
         with pytest.raises(InvalidInput):
             HospitalConfig(alpha_trim=1.0)
 
-    @pytest.mark.parametrize("seed", [0.9, "x", float("nan")])
+    @pytest.mark.parametrize("seed", [0.9, "x", float("nan"), True, False])
     def test_seed_must_be_an_integer(self, seed):
         with pytest.raises(InvalidInput, match="seed must be an integer"):
             HospitalConfig(seed=seed)
@@ -980,12 +982,12 @@ class TestConsistencyHarness:
         with pytest.raises(InvalidInput, match="must be an integer"):
             gaussian_parameter_law(dim=dim)
 
-    @pytest.mark.parametrize("cap", [0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("cap", [0.5, math.nan, math.inf, True])
     def test_parameter_law_checks_condition_cap_when_built(self, cap):
         with pytest.raises(InvalidInput, match="condition cap"):
             gaussian_parameter_law(condition_cap=cap)
 
-    @pytest.mark.parametrize("scale", [math.nan, math.inf, "0.3"])
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, "0.3", True, False])
     def test_parameter_law_checks_mean_scale_when_built(self, scale):
         # Used to build and fail only at the first draw.
         with pytest.raises(InvalidInput, match="mean_scale"):
@@ -1067,12 +1069,17 @@ def _cloud():
 
 
 # Each call passes a non-integer count that used to reach ``range`` or a
-# sequence repetition and end in ``TypeError``.
+# sequence repetition and end in ``TypeError``, or a boolean that used to
+# run as the count 0 or 1.
 NON_INTEGER_COUNTS = {
     "TrimConfig.restarts": lambda: TrimConfig(alpha=0.2, restarts=2.5),
+    "TrimConfig.restarts_bool": lambda: TrimConfig(alpha=0.2, restarts=True),
     "fixed_point_barycenter.max_iter": lambda: fixed_point_barycenter(
         _toy(), max_iter=2.5),
+    "fixed_point_barycenter.max_iter_bool": lambda: fixed_point_barycenter(
+        _toy(), max_iter=False),
     "HospitalConfig.k": lambda: HospitalConfig(k=3.5),
+    "HospitalConfig.k_bool": lambda: HospitalConfig(k=True),
     "HospitalConfig.n": lambda: HospitalConfig(n=40.5),
     "HospitalConfig.mcd_restarts": lambda: HospitalConfig(mcd_restarts=2.5),
     "HospitalConfig.trim_restarts": lambda: HospitalConfig(trim_restarts=2.5),

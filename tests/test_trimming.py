@@ -7,6 +7,7 @@ the pair, variance 2 * (1/2) * 0.05^2 = 0.0025.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -114,6 +115,27 @@ class TestTrimWeights:
         with pytest.raises(DegenerateTrim):
             trim_weights([1.0, 2.0], [0.25, 0.25], 0.4)
 
+    def test_lone_kept_atom_weighs_one(self):
+        # 1 - 0.8 rounds below 0.2, so the whole weight 0.2 would normalize
+        # to 1 + 2^-52; capped at 1 - alpha, the lone atom weighs exactly 1.
+        out = trim_weights([3.0, 1.0, 2.0, 5.0, 4.0], np.full(5, 0.2), 0.8)
+        assert out.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
+
+    def test_ranking_inside_the_kept_set_changes_no_bit(self):
+        # Equal weights: the boundary atom's remainder covers its weight up
+        # to the rounding of the cumulative sum, so it keeps that weight
+        # whole and a kept set has one weight vector whatever its ranking.
+        gen = np.random.default_rng(84)
+        w = np.full(60, 1.0 / 60.0)
+        for _ in range(50):
+            d = gen.uniform(0.0, 1.0, size=60)
+            inside = np.argsort(d)[:48]
+            reranked = d.copy()
+            reranked[inside] = gen.permutation(d[inside])
+            out = trim_weights(d, w, 0.2)
+            assert np.count_nonzero(out) == 48
+            assert out.tobytes() == trim_weights(reranked, w, 0.2).tobytes()
+
 
 class TestTrimConfig:
     def test_alpha_range(self):
@@ -121,7 +143,8 @@ class TestTrimConfig:
             with pytest.raises(InvalidInput):
                 TrimConfig(alpha=alpha)
 
-    @pytest.mark.parametrize("alpha", ["0.2", None, 0.2j, np.complex128(0.2)])
+    @pytest.mark.parametrize("alpha", ["0.2", None, 0.2j, np.complex128(0.2),
+                                       True, False])
     def test_alpha_must_be_real(self, alpha):
         with pytest.raises(InvalidInput, match="alpha must lie in"):
             TrimConfig(alpha=alpha)
@@ -138,7 +161,7 @@ class TestTrimConfig:
         with pytest.raises(InvalidInput):
             TrimConfig(alpha=0.1, restarts=0)
 
-    @pytest.mark.parametrize("seed", [0.9, "x", float("nan")])
+    @pytest.mark.parametrize("seed", [0.9, "x", float("nan"), True, False])
     def test_seed_must_be_an_integer(self, seed):
         with pytest.raises(InvalidInput, match="seed must be an integer"):
             TrimConfig(alpha=0.2, seed=seed)
@@ -298,22 +321,40 @@ class TestSharedSolves:
     def test_each_distinct_kept_set_is_solved_once(self, monkeypatch):
         ens = far_outlier_ensemble(80, 20, 2)
         cfg = TrimConfig(alpha=0.2, restarts=10, seed=3)
-        # One solve per outer step that does not stop on a repeated set.
+        # One solve per outer step that does not stop on a revisited set.
         outer_steps = sum(len(trimming._restart_path(ens, cfg, r, {})[3])
                           for r in range(cfg.restarts))
-        # A solve is identified by its full-length kept-weight vector,
-        # which names its kept atoms.
-        inputs = []
+        # A solve is identified by its kept set: the atoms it keeps and
+        # which of them it keeps whole.
+        whole = ens.weights / (1.0 - cfg.alpha)
+        keys = []
         solve = trimming._barycenter
 
         def counting(ens, lam, *args):
-            inputs.append(lam.tobytes())
+            keys.append((lam > 0.0).tobytes() + (lam == whole).tobytes())
             return solve(ens, lam, *args)
 
         monkeypatch.setattr(trimming, "_barycenter", counting)
         trimmed_barycenter(ens, cfg)
-        assert len(inputs) == len(set(inputs))
-        assert len(inputs) < outer_steps
+        assert len(keys) == len(set(keys))
+        assert len(keys) < outer_steps
+
+    def test_restart_stops_at_its_first_revisited_set(self, monkeypatch):
+        # Trims forced to cycle A, B, A, ... with B tighter than A: the
+        # restart ends when A comes back, on its last solve, B.
+        ens = WeightedEnsemble.equal_weights(tuple(
+            gauss_1d(m, 1.0) for m in (0.0, 0.1, 5.0, 10.0)))
+        a = np.array([0.5, 0.0, 0.0, 0.5])
+        b = np.array([0.5, 0.5, 0.0, 0.0])
+        trims = itertools.cycle([a, b])
+        monkeypatch.setattr(trimming, "trim_weights",
+                            lambda *args: next(trims).copy())
+        res = trimmed_barycenter(ens, TrimConfig(alpha=0.5, restarts=1))
+        assert res.outer_iterations == 2
+        var_a, var_b = res.variance_history
+        assert var_b < var_a
+        np.testing.assert_array_equal(res.active_weights, b)
+        assert res.trimmed_variance == var_b
 
     @pytest.mark.parametrize("case", ["toy", "d2_k80", "d8_k20"])
     def test_distances_once_per_solve_and_start(self, case, monkeypatch):
@@ -398,9 +439,9 @@ class TestWarmStarts:
                "c": np.array([0.5, 0.0, 0.5, 0.0])}
         solved = {}
         for name in lam:
-            solved[lam[name].tobytes()] = trimming._barycenter(
-                ens, lam[name], None, 1e-12, 1000)
-        starts = [res.bary.cov.entries for res, _ in solved.values()]
+            solved[name] = (lam[name], *trimming._barycenter(
+                ens, lam[name], None, 1e-12, 1000))
+        starts = [res.bary.cov.entries for _, res, _ in solved.values()]
         # [0.5, 0.25, 0.25, 0] lies at L1 distance 0.5 from each of a, b
         # and c: the first solved wins.
         target = np.array([0.5, 0.25, 0.25, 0.0])
