@@ -14,16 +14,21 @@ definite start.  The weighted average of the member S_j is the default
 starting point; the trimming search starts each new kept set from the
 scatter of the nearest one it has solved.
 
-The iteration converges linearly, so the solver accelerates it with type-II
-Anderson mixing (Walker & Ni 2011): each plain step G(S) is corrected by the
-combination of the last ``ANDERSON_DEPTH`` steps (at most d (d + 1) / 2)
-whose residual differences best cancel the current residual G(S) - S, a
-least-squares fit solved through its small Gram system.  Every candidate
-must be certified positive definite; when it is not, or the Gram system is
-singular or gives a non-finite solution, the plain step is taken and the
-history is cleared.  The stopping rule is checked on the plain step taken
-from the certified iterate, so a returned scatter satisfies the same
-certificate as one from the plain iteration.
+The iteration converges linearly, so each plain step G(S) proposes a
+candidate in its place.  Off d = 2 it is the Newton iterate S + delta,
+(I - J) delta = G(S) - S, solved by GMRES (Saad & Schultz 1986) on at most
+eight products J E, each made of matmuls in the eigenbases the step's own
+``eigh`` computed (Jacobian-free Newton-Krylov; Knoll & Keyes 2004).  From
+the first step whose plain relative change does not shrink, and always at
+d = 2, it is type-II Anderson mixing (Walker & Ni 2011): G(S) corrected by
+the combination of the last ``ANDERSON_DEPTH`` steps (at most d (d + 1) /
+2) whose residual differences best cancel G(S) - S, a least-squares fit
+solved through its small Gram system, on a history kept from step 0.
+Every candidate must be certified positive definite; when it is not, or a
+zero denominator or singular system gives none or a non-finite one, the
+plain step is taken and the history is cleared.  The stopping rule is
+checked on the plain step taken from the certified iterate, so a returned
+scatter satisfies the same certificate as one from the plain iteration.
 
 One loop runs this in every dimension; only the iterate's arithmetic
 depends on d, and it is chosen once.  Off d = 2 the iterate is a (d, d)
@@ -50,7 +55,7 @@ from .errors import (DimensionMismatch, MaxIterationsExceeded,
                      check_weights)
 from .locscatter import LocScatter, _bures_sq, _planar_cross, _planar_stack
 from .spd import (SpdMatrix, SymMatrix, _certify_planar, _planar_spd,
-                  certify_spd, spd_exp, spd_log, sqrt_psd_batch)
+                  _psd_roots, certify_spd, spd_exp, spd_log)
 
 __all__ = [
     "WeightedEnsemble",
@@ -136,14 +141,93 @@ class BarycenterResult:
 
 def _scatter_step(spd: SpdMatrix, covs: np.ndarray, lam: np.ndarray):
     """One step of the scatter iteration from ``spd`` (d != 2); returns the
-    weighted mean of the transported roots and the next iterate."""
+    weighted mean of the transported roots, the next iterate and the
+    step's linearization, the arguments of :func:`_jacobian`."""
     root = spd.sqrt()
     inv_root = spd.inv_sqrt()
-    inner = root @ covs @ root
-    mixed = np.einsum("k,kij->ij", lam, sqrt_psd_batch(inner))
+    # root @ covs @ root, keeping its left factor R S_j.
+    left = root @ covs
+    roots, root_w, vecs = _psd_roots(left @ root)
+    mixed = np.einsum("k,kij->ij", lam, roots)
     mixed = 0.5 * (mixed + mixed.T)
     s_next = inv_root @ (mixed @ mixed) @ inv_root
-    return mixed, 0.5 * (s_next + s_next.T)
+    s_next = 0.5 * (s_next + s_next.T)
+    lin = spd, inv_root, left, vecs, root_w, lam, mixed, s_next
+    return mixed, s_next, lin
+
+
+def _jacobian(spd, inv_root, left, vecs, root_w, lam, mixed, s_next):
+    """The product E -> J E of the step's Jacobian at ``spd``: dR solves R
+    dR + dR R = E in the eigenbasis of S, each (R S_j R)^{1/2} is
+    differentiated in its eigenbasis V_j, and J E = Q + Q^T for Q = R^{-1}
+    (dM M R^{-1} - dR S').  ``None`` when a member's sqrt(a_i) + sqrt(a_k)
+    is zero."""
+    den = root_w[:, :, None] + root_w[:, None, :]
+    if not den.all():
+        return None
+    u, vecs_t = spd.eigenvectors, np.swapaxes(vecs, -1, -2)
+    root_s = np.sqrt(spd.eigenvalues)
+    w = np.swapaxes(left, -1, -2) @ vecs
+    scale = lam[:, None, None] / den
+    m_inv = mixed @ inv_root
+
+    def product(e):
+        dr = u @ ((u.T @ e @ u) / (root_s[:, None] + root_s)) @ u.T
+        z = vecs_t @ dr @ w
+        dm = (vecs @ ((z + np.swapaxes(z, -1, -2)) * scale) @ vecs_t).sum(0)
+        q = inv_root @ (dm @ m_inv - dr @ s_next)
+        return q + q.T
+    return product
+
+
+def _gmres(apply, b, rtol: float):
+    """GMRES (Saad & Schultz 1986) for ``apply(x) = b`` from x = 0, with at
+    most eight calls of ``apply`` and Givens rotations on floats, stopping
+    at a residual of ``rtol`` |b|.  ``None`` when ``b`` is zero or a
+    rotation meets a zero column."""
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return None
+    basis, cols, rots, g = [b / beta], [], [], [beta]
+    for j in range(8):
+        w, col = apply(basis[j]), []
+        for v in basis:
+            col.append(float(np.vdot(v, w)))
+            w = w - col[-1] * v
+        h = float(np.linalg.norm(w))
+        for i, (c, sn) in enumerate(rots):
+            col[i:i + 2] = (c * col[i] + sn * col[i + 1],
+                            c * col[i + 1] - sn * col[i])
+        r = math.hypot(col[j], h)
+        if r == 0.0:
+            return None
+        c, sn = col[j] / r, h / r
+        rots.append((c, sn))
+        cols.append(col[:j] + [r])
+        g[j:] = c * g[j], -sn * g[j]
+        if abs(g[-1]) <= rtol * beta:
+            break
+        basis.append(w / h)
+    y = []
+    for i in reversed(range(len(cols))):
+        y.insert(0, (g[i] - sum(cols[k][i] * x
+                                for k, x in enumerate(y, i + 1))) / cols[i][i])
+    return sum(x * v for x, v in zip(y, basis))
+
+
+def _newton(f: np.ndarray, lin, change: float) -> np.ndarray | None:
+    """Newton candidate S + delta for the step linearized as ``lin``, with
+    (I - J) delta = ``f`` = S' - S solved by :func:`_gmres` to the relative
+    ``change`` (at most 0.1), which keeps Newton's quadratic convergence
+    (Dembo, Eisenstat & Steihaug 1982); ``None`` when no delta or no finite
+    one is found."""
+    product = _jacobian(*lin)
+    delta = None if product is None else _gmres(
+        lambda e: e - product(e), f, min(0.1, change))
+    if delta is None or not np.isfinite(delta).all():
+        return None
+    cand = lin[0].entries + delta
+    return 0.5 * (cand + cand.T)
 
 
 def _planar_step(s, eig, lam: np.ndarray, planar):
@@ -254,8 +338,9 @@ def _planar_extrapolate(g, f, history):
 
 class _Arrays:
     """The iterate off d = 2: a ``(d, d)`` array, certified by
-    :func:`certify_spd` and mixed by :func:`_extrapolate`.  Methods look
-    module functions up when called, so a substituted one takes effect."""
+    :func:`certify_spd`; the candidate is :func:`_newton`'s while the plain
+    change shrinks, then :func:`_extrapolate`'s.  Methods look module
+    functions up when called, so a substituted one takes effect."""
 
     iterate = matrix = staticmethod(np.asarray)
     norm = staticmethod(np.linalg.norm)
@@ -263,15 +348,21 @@ class _Arrays:
 
     def __init__(self, lam, covs, planar):
         self.lam, self.covs, self.planar = lam, covs, planar
+        self.change = math.inf  # -inf once Anderson mixing takes over
 
     def certify(self, s):
         return certify_spd(s)
 
     def step(self, s, spd):
-        return _scatter_step(spd, self.covs, self.lam)
+        mixed, s_next, self.lin = _scatter_step(spd, self.covs, self.lam)
+        return mixed, s_next
 
-    def extrapolate(self, g, f, history):
-        return _extrapolate(g, f, history)
+    def extrapolate(self, g, f, history, change):
+        if change < self.change:
+            self.change = change
+            return _newton(f, self.lin, change)
+        self.change = -math.inf
+        return _extrapolate(g, f, history) if len(history) else None
 
     def certified(self, s, spd) -> SpdMatrix:
         return spd
@@ -304,8 +395,8 @@ class _Floats(_Arrays):
     def sub(self, u, v):
         return u[0] - v[0], u[1] - v[1], u[2] - v[2]
 
-    def extrapolate(self, g, f, history):
-        return _planar_extrapolate(g, f, history)
+    def extrapolate(self, g, f, history, change):
+        return _planar_extrapolate(g, f, history) if history else None
 
 
 def _barycenter(ens: WeightedEnsemble, lam: np.ndarray,
@@ -343,7 +434,8 @@ def _barycenter(ens: WeightedEnsemble, lam: np.ndarray,
         norm_s = rep.norm(s)
         residual = float(rep.norm(rep.sub(mixed, s)) / norm_s)
         f = rep.sub(s_next, s)
-        if single or (rep.norm(f) / norm_s < tol and residual <= 10.0 * tol):
+        change = rep.norm(f) / norm_s
+        if single or (change < tol and residual <= 10.0 * tol):
             bary = LocScatter(lam_k @ means, rep.certified(s, cert))
             d2 = ens._distances_sq(bary)
             return BarycenterResult(
@@ -355,17 +447,16 @@ def _barycenter(ens: WeightedEnsemble, lam: np.ndarray,
             pairs += 1
         last = s_next, f
         s, cert = s_next, None
-        if pairs:
-            cand = rep.extrapolate(s_next, f, history[:min(pairs, depth)])
-            if cand is not None:
-                try:
-                    s, cert = cand, rep.certify(cand)
-                except NotPositiveDefinite:
-                    pass
-            if cert is None:
-                # No certified candidate: keep the plain step and start the
-                # history again from it.
-                pairs = 0
+        cand = rep.extrapolate(s_next, f, history[:min(pairs, depth)], change)
+        if cand is not None:
+            try:
+                s, cert = cand, rep.certify(cand)
+            except NotPositiveDefinite:
+                pass
+        if cert is None:
+            # No certified candidate: keep the plain step and start the
+            # history again from it.
+            pairs = 0
     raise MaxIterationsExceeded(
         f"scatter iteration did not converge in {max_iter} steps "
         f"(residual {residual:.3e})",
@@ -376,8 +467,8 @@ def fixed_point_barycenter(ens: WeightedEnsemble, tol: float = DEFAULT_TOL,
                            max_iter: int = DEFAULT_MAX_ITER) -> BarycenterResult:
     """Barycenter of the ensemble with convergence diagnostics.
 
-    Runs the Anderson-accelerated scatter iteration (see the module
-    docstring) until the plain step taken from the current iterate changes
+    Runs the accelerated scatter iteration (see the module docstring)
+    until the plain step taken from the current iterate changes
     the scatter by less than ``tol`` in relative Frobenius norm and the
     relative residual of the fixed-point condition is at most ``10 * tol``;
     the returned scatter is that certified iterate.  Raises

@@ -392,8 +392,9 @@ class HospitalConfig:
                                f"(a, b), got {beta!r}")
         check_positive(beta[0], "Beta parameter a")
         check_positive(beta[1], "Beta parameter b")
-        if not 0.0 < self.mcd_fraction <= 1.0:
-            raise InvalidInput("mcd_fraction must lie in (0, 1]")
+        if not (is_real(self.mcd_fraction) and 0.0 < self.mcd_fraction <= 1.0):
+            raise InvalidInput("mcd_fraction must be a number in (0, 1], "
+                               f"got {self.mcd_fraction!r}")
         check_alpha(self.alpha_trim, "alpha_trim")
         RngState(self.seed)  # rejects a seed that is not an integer
 

@@ -280,13 +280,20 @@ def sqrt_psd_batch(mats: np.ndarray) -> np.ndarray:
     Tiny negative eigenvalues from round-off are clamped to zero; genuinely
     negative spectra raise.
     """
+    return _psd_roots(mats)[0]
+
+
+def _psd_roots(mats: np.ndarray):
+    """:func:`sqrt_psd_batch`'s roots, then the clamped roots of the
+    eigenvalues ``(k, d)``, ascending, and the eigenvectors as columns."""
     w, v = np.linalg.eigh(mats)
     tol = -1e-10 * np.maximum(1.0, w[:, -1])
     if np.any(w[:, 0] < tol):
         raise NotPositiveDefinite("batch member is not positive semidefinite",
                                   min_eigenvalue=float(w[:, 0].min()))
-    r = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ np.swapaxes(v, -1, -2)
-    return 0.5 * (r + np.swapaxes(r, -1, -2))
+    root_w = np.sqrt(np.maximum(w, 0.0))
+    r = (v * root_w[:, None, :]) @ np.swapaxes(v, -1, -2)
+    return 0.5 * (r + np.swapaxes(r, -1, -2)), root_w, v
 
 
 def check_same_dim(*dims: int) -> int:

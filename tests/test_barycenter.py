@@ -22,8 +22,8 @@ from wcons import (BadWeights, DimensionMismatch, InvalidInput, LocScatter,
                    gaussian_parameter_law, gaussian_quantiles,
                    linear_mean, log_euclidean_mean, quantile_barycenter,
                    trimmed_barycenter, variance_1d, w2_distance_sq)
-from wcons.barycenter import (BarycenterResult, _barycenter, _planar_step,
-                              _scatter_step)
+from wcons.barycenter import (BarycenterResult, _barycenter, _gmres,
+                              _jacobian, _planar_step, _scatter_step)
 from wcons.locscatter import _bures_sq, _planar_stack
 from wcons.spd import _certify_planar
 
@@ -67,7 +67,7 @@ def plain_barycenter(ens, tol=1e-12, max_iter=1000):
             change = planar_gap(s_next, (a, b, c), norm_s)
             s_next = as_matrix(s_next)
         else:
-            mixed, s_next = _scatter_step(spd, covs, lam)
+            mixed, s_next, _ = _scatter_step(spd, covs, lam)
             norm_s = np.linalg.norm(s)
             residual = np.linalg.norm(mixed - s) / norm_s
             change = np.linalg.norm(s_next - s) / norm_s
@@ -383,38 +383,56 @@ class TestAndersonAcceleration:
 
     def test_wide_grid_step_count(self):
         # Twelve seeded ensembles of the wide-consensus shape, d 8/16,
-        # k 20/60, condition numbers up to 1e2/1e4/1e6.  A history of 8
-        # takes 201 steps in all; a history of 4 took 220.
+        # k 20/60, condition numbers up to 1e2/1e4/1e6.  Newton steps take
+        # 61 steps in all; Anderson mixing alone took 201 with a history
+        # of 8 and 220 with 4.
         steps = sum(fixed_point_barycenter(ens).iterations
                     for ens in wide_grid())
-        assert steps <= 201
+        assert steps <= 61
+
+    @pytest.mark.parametrize("dim, cap, bound", [(5, 1e8, 86),
+                                                 (16, 1e6, 80)])
+    def test_converging_stall_rows_step_count(self, dim, cap, bound):
+        # The two rows of the stall table (twelve seeds of twenty members)
+        # in which every seed converges; Anderson mixing alone took 378
+        # steps at d = 5, cap 1e8 and 304 at d = 16, cap 1e6.
+        steps = sum(fixed_point_barycenter(random_ensemble(
+            np.random.default_rng(seed), 20, dim, condition_cap=cap))
+            .iterations for seed in range(12))
+        assert steps <= bound
 
     def test_rejected_candidate_falls_back_to_plain_step(self, monkeypatch):
+        # The first Newton candidate is refused; the next iterate certified
+        # is the plain step it would have replaced.
         ens = random_ensemble(np.random.default_rng(71), 20, 5,
                               condition_cap=1e4)
-        extrapolate = barycenter_module._extrapolate
+        newton = barycenter_module._newton
         certify = barycenter_module.certify_spd
         pending = []
         rejected = []
+        after = []
 
-        def first_candidate(*args):
-            cand = extrapolate(*args)
+        def first_candidate(f, lin, change):
+            cand = newton(f, lin, change)
             if cand is not None and not rejected:
-                pending.append(cand)
+                pending.append((cand, lin[-1]))
             return cand
 
         def reject_first_candidate(m):
             if pending:
                 rejected.append(pending.pop())
-                assert np.array_equal(m, rejected[0])
+                assert np.array_equal(m, rejected[0][0])
                 raise NotPositiveDefinite("rejected for the test")
+            if rejected and not after:
+                after.append(m)
             return certify(m)
 
-        monkeypatch.setattr(barycenter_module, "_extrapolate", first_candidate)
+        monkeypatch.setattr(barycenter_module, "_newton", first_candidate)
         monkeypatch.setattr(barycenter_module, "certify_spd",
                             reject_first_candidate)
         res = fixed_point_barycenter(ens)
         assert len(rejected) == 1
+        np.testing.assert_array_equal(after[0], rejected[0][1])
         assert_same_barycenter(res, plain_barycenter(ens))
         assert res.residual <= 10.0 * 1e-12
 
@@ -441,23 +459,116 @@ class TestAndersonAcceleration:
             (16.0 / 15.0) ** 2, rel=1e-14)
 
     def test_non_finite_gram_solution_takes_plain_step(self, monkeypatch):
-        # A Gram solution with a NaN is no candidate: every step falls back
-        # to the plain one, so the solve retraces the plain iteration.
+        # A Krylov or Gram solution with a NaN is no candidate: every step
+        # falls back to the plain one, so the solve retraces the plain
+        # iteration.  Past its floor the plain change stops shrinking and
+        # the solve switches to Anderson mixing, whose Gram solutions are
+        # NaN too.
+        krylov = []
         calls = []
+
+        def nan_krylov(apply, b, rtol):
+            krylov.append(b.shape)
+            return np.full(b.shape, np.nan)
 
         def nan_solution(a, b):
             calls.append(a.shape)
             return np.full(b.shape, np.nan)
 
+        monkeypatch.setattr(barycenter_module, "_gmres", nan_krylov)
         monkeypatch.setattr(np.linalg, "solve", nan_solution)
         ens = random_ensemble(np.random.default_rng(71), 20, 5,
                               condition_cap=1e4)
         res = fixed_point_barycenter(ens)
         ref = plain_barycenter(ens)
-        assert calls and all(shape == (1, 1) for shape in calls)
+        assert krylov and all(shape == (5, 5) for shape in krylov)
         assert res.iterations == ref.iterations
         np.testing.assert_array_equal(res.bary.cov.entries,
                                       ref.bary.cov.entries)
+        with pytest.raises(MaxIterationsExceeded) as err:
+            fixed_point_barycenter(ens, tol=1e-300, max_iter=60)
+        # The raise carries the iterate after steps 0 to 60.
+        s = np.einsum("k,kij->ij", ens.weights, ens.covs())
+        for _ in range(61):
+            s = _scatter_step(certify_spd(s), ens.covs(), ens.weights)[1]
+        assert calls and all(shape == (1, 1) for shape in calls)
+        np.testing.assert_array_equal(err.value.last_iterate, s)
+
+    def test_switches_to_anderson_once_change_stops_shrinking(
+            self, monkeypatch):
+        # Newton candidates while each plain relative change is below the
+        # one before, then Anderson mixing for the rest of the solve.
+        kinds = []
+        changes = []
+        extrapolate = barycenter_module._Arrays.extrapolate
+
+        def watch(self, g, f, history, change):
+            changes.append(change)
+            return extrapolate(self, g, f, history, change)
+
+        monkeypatch.setattr(barycenter_module._Arrays, "extrapolate", watch)
+        for name in ("_newton", "_extrapolate"):
+            def record(*args, name=name, fn=getattr(barycenter_module, name)):
+                kinds.append(name)
+                return fn(*args)
+            monkeypatch.setattr(barycenter_module, name, record)
+        ens = random_ensemble(np.random.default_rng(71), 20, 5,
+                              condition_cap=1e4)
+        with pytest.raises(MaxIterationsExceeded):
+            fixed_point_barycenter(ens, tol=1e-300, max_iter=40)
+        newton = kinds.count("_newton")
+        assert 1 < newton < len(changes)
+        assert kinds[:newton] == ["_newton"] * newton
+        assert set(kinds[newton:]) == {"_extrapolate"}
+        assert all(b < a for a, b in zip(changes[:newton - 1],
+                                         changes[1:newton]))
+        assert changes[newton] >= changes[newton - 1]
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_jacobian_product_matches_finite_difference(self, dim):
+        # J E against the central difference (S'(S + hE) - S'(S - hE)) / 2h
+        # at the weighted mean of the scatters, with |E| = |S| and h = 1e-5,
+        # within 1e-8 |E|.  They agree to about 2e-10 |E|, where |J E| is
+        # about 0.1 |E| at d = 3 and 8; at d = 1 one step reaches the
+        # fixed point from any start, so J is zero.
+        gen = np.random.default_rng([dim, 9])
+        ens = random_ensemble(gen, 6, dim, condition_cap=1e3)
+        lam, covs = ens.weights, ens.covs()
+        s = np.einsum("k,kij->ij", lam, covs)
+        e = gen.standard_normal((dim, dim))
+        e = (e + e.T) * (np.linalg.norm(s) / np.linalg.norm(e + e.T))
+        h = 1e-5
+        plus, minus = (_scatter_step(certify_spd(s + x * e), covs, lam)[1]
+                       for x in (h, -h))
+        diff = (plus - minus) / (2.0 * h)
+        product = _jacobian(*_scatter_step(certify_spd(s), covs, lam)[2])
+        gap = np.linalg.norm(product(e) - diff)
+        assert gap <= 1e-8 * np.linalg.norm(e)
+
+    def test_zero_root_denominator_gives_no_jacobian(self):
+        # A member transported to rank d - 2 has two zero roots, so
+        # sqrt(a_i) + sqrt(a_k) is zero and no Newton candidate is formed.
+        spd = certify_spd(np.eye(3))
+        root_w = np.array([[0.0, 0.0, 1.0]])
+        vecs = np.eye(3)[None]
+        assert _jacobian(spd, np.eye(3), vecs, vecs, root_w, np.ones(1),
+                         np.eye(3), np.eye(3)) is None
+
+    def test_krylov_solve_matches_dense_solve(self):
+        # Six unknowns: GMRES is exact by its sixth product.
+        gen = np.random.default_rng(6)
+        a = np.eye(6) + 0.5 * gen.standard_normal((6, 6))
+        b = gen.standard_normal(6)
+        products = []
+
+        def apply(x):
+            products.append(x)
+            return a @ x
+
+        x = _gmres(apply, b, 1e-12)
+        assert len(products) <= 6
+        np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-10,
+                                   atol=0.0)
 
     def test_planar_rejected_candidate_falls_back_to_plain_step(
             self, monkeypatch):

@@ -913,8 +913,11 @@ class TestHospitalExperiment:
                 HospitalConfig(contamination_beta=(bad, 1.0))
             with pytest.raises(InvalidInput, match="Beta parameter b"):
                 HospitalConfig(contamination_beta=(4.0, bad))
-        with pytest.raises(InvalidInput):
-            HospitalConfig(mcd_fraction=0.0)
+        # A boolean used to run as the fraction 1.0, and a string to end in
+        # a bare TypeError.
+        for bad in (0.0, True, "x"):
+            with pytest.raises(InvalidInput, match="mcd_fraction"):
+                HospitalConfig(mcd_fraction=bad)
         with pytest.raises(InvalidInput):
             HospitalConfig(alpha_trim=1.0)
 
