@@ -220,11 +220,20 @@ def similarity_pushforward(p: LocScatter, scale: float,
                            rotation: np.ndarray, shift: np.ndarray) -> LocScatter:
     """Pushforward of a member under x -> scale * R x + shift.
 
-    ``rotation`` must be orthogonal; the scatter becomes
-    scale^2 * R S R^T and the mean scale * R m + shift.
+    ``rotation`` must be a ``(d, d)`` orthogonal matrix (a reflection
+    too), with ``R R^T`` within 1e-10 of the identity entrywise, and
+    ``shift`` a ``(d,)`` vector; the scatter becomes scale^2 * R S R^T
+    and the mean scale * R m + shift.
     """
     check_positive(scale, "similarity scale")
     r = np.asarray(rotation, dtype=float)
-    mean = scale * (r @ p.mean) + np.asarray(shift, dtype=float)
+    b, d = np.asarray(shift, dtype=float), p.dim
+    if r.shape != (d, d) or b.shape != (d,):
+        raise DimensionMismatch(
+            f"a member of dimension {d} needs a ({d}, {d}) rotation and a "
+            f"({d},) shift, got {r.shape} and {b.shape}")
+    if not np.abs(r @ r.T - np.eye(d)).max() <= 1e-10:  # NaN fails too
+        raise InvalidInput("rotation must be orthogonal")
+    mean = scale * (r @ p.mean) + b
     cov = (scale * scale) * (r @ p.cov.entries @ r.T)
     return LocScatter(mean, certify_spd(cov))

@@ -46,6 +46,11 @@ __all__ = [
 # harness tasks 0..len(n_values)*reps).
 _AGGREGATE_TAG = 0x5EED
 
+# Most points in each (paths, n) array of one block of concentration paths:
+# a study's working set is set by the block, not by units x restarts x n,
+# and 80 KB arrays still spread each step's numpy calls over many paths.
+_BLOCK_POINTS = 10_000
+
 
 def _generator(gen) -> np.random.Generator:
     if not isinstance(gen, np.random.Generator):
@@ -174,10 +179,11 @@ def _c_step_paths(clouds: np.ndarray, owner: np.ndarray, h: int,
     Path ``i`` starts from ``means[i]``, ``covs[i]`` on the cloud
     ``clouds[owner[i]]`` (shapes ``(b, d)``, ``(b, d, d)``, ``(u, n, d)``).
     All live paths take each step together; a path leaves the live set when
-    its support repeats, when it fails, or after ``max_steps`` refits.  A
-    path fails when its start covariance is exactly singular (an LU zero
+    its new support equals its last one (before refitting it, since the fit
+    would be the one it has), when it fails, or after ``max_steps`` refits.
+    A path fails when its start covariance is exactly singular (an LU zero
     pivot, on which a solve would raise) or when a refit has determinant
-    sign <= 0.
+    sign <= 0.  Arrays are ``(b, n)``, so :func:`_mcd_fits` passes blocks.
 
     The clouds are held once as ``d`` contiguous ``(u, n)`` coordinate
     arrays.  At d = 2 a path whose covariance ``[[a, p], [q, c]]`` has
@@ -244,16 +250,19 @@ def _c_step_paths(clouds: np.ndarray, owner: np.ndarray, h: int,
                     np.linalg.solve(cov[rows], np.swapaxes(part, 1, 2)))
                 last[rows] = _edge_values(md[rows], h)[0]
             support = _supports(md, last, h)
+        if step:
+            # A repeated support would refit to the fit it already has.
+            moved = np.any(support != supports[live], axis=1)
+            live, own, support = live[moved], own[moved], support[moved]
+            if live.size == 0:
+                break
         mean, cov = _support_fits(cols, own, support)
         sign, logdet = np.linalg.slogdet(cov)
         ok = sign > 0
-        failed[live[~ok]] = True
-        # A repeated support refits to the fit it already has, whose
-        # determinant was positive, so only the paths that moved advance.
-        go = ok & np.any(support != supports[live], axis=1) if step else ok
-        if not go.all():
-            live, mean, cov, support = live[go], mean[go], cov[go], support[go]
-            logdet = logdet[go]
+        if not ok.all():
+            failed[live[~ok]] = True
+            live, mean, cov, support = live[ok], mean[ok], cov[ok], support[ok]
+            logdet = logdet[ok]
         means[live], covs[live], supports[live] = mean, cov, support
         history[live, step] = logdet
         steps[live] = step + 1
@@ -310,11 +319,13 @@ def _mcd_fits(clouds: np.ndarray, h: int, restarts: int,
     covariances ``(u, d, d)``, symmetrized as :class:`SymMatrix` does.
 
     Cloud ``i`` draws ``restarts`` random (d+1)-point start subsets in order
-    from ``gens[i]``, and the paths of all clouds step together.  Only
-    failed paths are redrawn, so every generator makes exactly the draws a
-    one-subset-at-a-time loop would; a cloud gives up after 10 * restarts
-    attempts.  The smallest final log-determinant wins, the earliest
-    completed restart winning ties.
+    from ``gens[i]``.  The paths of all clouds step in blocks of
+    ``_BLOCK_POINTS // n`` paths (at least one), in order, and only each
+    path's final log-determinant, fit and failure flag outlive its block.
+    Only failed paths are redrawn, so every generator makes exactly the
+    draws a one-subset-at-a-time loop would; a cloud gives up after 10 *
+    restarts attempts.  The smallest final log-determinant wins, the
+    earliest completed restart winning ties.
     """
     u, n, d = clouds.shape
     check_count(h, "h", 1)
@@ -326,6 +337,7 @@ def _mcd_fits(clouds: np.ndarray, h: int, restarts: int,
     best_logdet = np.zeros(u)
     best_mean = np.zeros((u, d))
     best_cov = np.zeros((u, d, d))
+    block = max(1, _BLOCK_POINTS // n)
     while np.any((needed > 0) & (attempts > 0)):
         owners, subsets = [], []
         for i in np.flatnonzero((needed > 0) & (attempts > 0)):
@@ -336,15 +348,19 @@ def _mcd_fits(clouds: np.ndarray, h: int, restarts: int,
                         for _ in range(draws)]
         owners = np.array(owners)
         mean0, cov0 = _ml_fit(clouds[owners[:, None], np.array(subsets)])
-        means, covs, _, history, steps, failed = _c_step_paths(
-            clouds, owners, h, mean0, cov0)
-        for p in np.flatnonzero(~failed):
-            i = owners[p]
-            logdet = history[p, steps[p] - 1]
-            if needed[i] == restarts or logdet < best_logdet[i]:
-                best_logdet[i], best_mean[i], best_cov[i] = (
-                    logdet, means[p], covs[p])
-            needed[i] -= 1
+        for lo in range(0, owners.size, block):
+            # Owners ascend, so a block's clouds are one slice.
+            own = owners[lo:lo + block]
+            means, covs, _, history, steps, failed = _c_step_paths(
+                clouds[own[0]:own[-1] + 1], own - own[0], h,
+                mean0[lo:lo + block], cov0[lo:lo + block])
+            for p in np.flatnonzero(~failed):
+                i = own[p]
+                logdet = history[p, steps[p] - 1]
+                if needed[i] == restarts or logdet < best_logdet[i]:
+                    best_logdet[i], best_mean[i], best_cov[i] = (
+                        logdet, means[p], covs[p])
+                needed[i] -= 1
     if np.any(needed > 0):
         raise SingularSubset(f"no nonsingular fit in {10 * restarts} attempts")
     return best_mean, 0.5 * (best_cov + np.swapaxes(best_cov, 1, 2))
@@ -357,8 +373,9 @@ def estimate_mcd(points: np.ndarray, h: int, restarts: int,
     ``restarts`` random (d+1)-point subsets seed concentration paths; the
     final fit with the smallest determinant wins (ties keep the earliest
     restart).  Singular subsets are redrawn, giving up after 10 * restarts
-    attempts.  No consistency correction is applied: the raw h-subset
-    maximum-likelihood covariance is returned.
+    attempts.  The paths step in blocks of about 10,000 points.  No
+    consistency correction is applied: the raw h-subset maximum-likelihood
+    covariance is returned.
     """
     means, covs = _mcd_fits(_points(points)[None], h, restarts,
                             [_generator(gen)])
@@ -478,7 +495,7 @@ def _hospital_units(cfg: HospitalConfig):
 
     Unit ``i`` draws its contamination level, mixture cloud and MCD start
     subsets from split stream ``i``; the concentration paths of all units
-    run as one batch.
+    step in blocks of about 10,000 points (:func:`_mcd_fits`).
     """
     inlier, outlier = cfg.inlier, cfg.outlier
     inlier_root, outlier_root = inlier.cov.sqrt(), outlier.cov.sqrt()

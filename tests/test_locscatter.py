@@ -415,6 +415,35 @@ class TestSimilarityPushforward:
             with pytest.raises(InvalidInput, match="similarity scale"):
                 similarity_pushforward(p, scale, np.eye(1), np.zeros(1))
 
+    def test_rejects_wrong_shapes(self):
+        # A (3, 3) rotation used to fail inside matmul, a (3,) shift in a
+        # broadcast, and a scalar shift was broadcast silently.
+        p = gauss([1.0, -2.0], [[2.0, 0.3], [0.3, 1.0]])
+        for rot, shift in ((np.eye(3), np.zeros(2)), (np.eye(2), np.zeros(3)),
+                           (np.eye(2), 1.0), (np.eye(2)[0], np.zeros(2))):
+            with pytest.raises(DimensionMismatch, match="rotation"):
+                similarity_pushforward(p, 1.0, rot, shift)
+
+    def test_rejects_a_rotation_that_is_not_orthogonal(self):
+        p = gauss([1.0, -2.0], [[2.0, 0.3], [0.3, 1.0]])
+        near = np.array([[1.0, 1e-9], [0.0, 1.0]])
+        for rot in (3.0 * np.eye(2), near, np.full((2, 2), np.nan)):
+            with pytest.raises(InvalidInput, match="orthogonal"):
+                similarity_pushforward(p, 1.0, rot, np.zeros(2))
+
+    def test_reflection_and_round_off_are_accepted(self):
+        p = gauss([1.0, -2.0], [[2.0, 0.3], [0.3, 1.0]])
+        c, s = math.cos(0.7), math.sin(0.7)
+        rot = np.array([[c, s], [s, -c]])
+        out = similarity_pushforward(p, 2.0, rot, np.array([0.5, 0.0]))
+        np.testing.assert_allclose(out.mean, 2.0 * rot @ p.mean + [0.5, 0.0],
+                                   atol=1e-12)
+        np.testing.assert_allclose(out.cov.entries,
+                                   4.0 * rot @ p.cov.entries @ rot.T,
+                                   atol=1e-12)
+        near = np.eye(2) + 1e-12
+        similarity_pushforward(p, 1.0, near, np.zeros(2))
+
 
 class TestLocScatterValidation:
     def test_mean_must_be_vector(self):

@@ -8,6 +8,8 @@ and 1234567.
 
 import hashlib
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from wcons import (InvalidInput, LocScatter, RngState, SingularSubset,
 from wcons import simulation
 from wcons.rng import splitmix64
 from wcons.simulation import (HospitalConfig, _c_step_paths,
-                              _hospital_units, _planar_haar, c_step_path,
+                              _hospital_units, _mcd_fits, _planar_haar,
+                              c_step_path,
                               consistency_harness, ellipse_points,
                               ellipse_toy_ensemble, estimate_mcd,
                               gaussian_parameter_law, hospital_experiment,
@@ -741,6 +744,91 @@ class TestEstimateMcd:
             assert gen_a.integers(2 ** 62) == gen_b.integers(2 ** 62)
             total_failures += failures
         assert (total_failures > 0) == duplicated
+
+
+def report_bytes(rep):
+    """Every float and count of a study report, as raw bytes."""
+    parts = [np.array([rep.w2_sq_barycenter, rep.w2_sq_trimmed,
+                       rep.w2_sq_linear]),
+             np.asarray(rep.unit_outlier_counts, dtype=np.int64),
+             rep.trimmed.active_weights]
+    for p in (rep.barycenter, rep.trimmed.bary, rep.linear):
+        parts += [p.mean, p.cov.entries]
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in parts)
+
+
+class TestConcentrationBlocks:
+    """The unit stage steps its concentration paths in blocks of at most
+    ``_BLOCK_POINTS`` points per ``(paths, n)`` array."""
+
+    @staticmethod
+    def block_constants(n):
+        """Blocks of 1 and 7 paths of ``n`` points, the default block and
+        one block of every path."""
+        return n, 7 * n, simulation._BLOCK_POINTS, sys.maxsize
+
+    def test_study_report_does_not_depend_on_the_block(self, monkeypatch):
+        # 150 paths of 80 points: the default block holds 125 of them.
+        cfg = HospitalConfig(k=30, n=80, seed=6, trim_restarts=4)
+        reports = set()
+        for points in self.block_constants(cfg.n):
+            monkeypatch.setattr(simulation, "_BLOCK_POINTS", points)
+            reports.add(report_bytes(hospital_experiment(cfg)))
+        assert len(reports) == 1
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_fits_and_draws_do_not_depend_on_the_block(self, dim,
+                                                        monkeypatch):
+        # Every third cloud has 15 coincident points, so some starts are
+        # singular and their units redraw in later rounds.
+        clouds = RngState(70 + dim).generator().standard_normal((12, 30, dim))
+        clouds[::3, :15] = clouds[::3, :1]
+        outputs = []
+        for points in self.block_constants(30):
+            monkeypatch.setattr(simulation, "_BLOCK_POINTS", points)
+            gens = [RngState(dim).split(i).generator() for i in range(12)]
+            means, covs = _mcd_fits(clouds, 20, 5, gens)
+            outputs.append((means, covs, [g.integers(2 ** 62) for g in gens]))
+        for got in outputs[1:]:
+            for a, b in zip(got, outputs[0]):
+                np.testing.assert_array_equal(a, b)
+
+    def test_unit_stage_memory_is_bounded(self):
+        # All 1,000 paths of this study stepped as one batch peaked at
+        # 36.8 MiB of traced memory; blocks of 25 paths stay under 4 MiB.
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _hospital_units(HospitalConfig(k=200, n=400, seed=7))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 15 * 2 ** 20
+
+    def test_no_path_refits_the_support_it_just_had(self, monkeypatch):
+        # A path whose new support equals its last one stops before the
+        # refit, so every refit is a step that its path keeps.
+        rows, outputs = [], []
+        fits, paths = simulation._support_fits, simulation._c_step_paths
+
+        def counting_fits(cols, own, support):
+            rows.append(support.shape[0])
+            return fits(cols, own, support)
+
+        def recording_paths(*args):
+            outputs.append(paths(*args))
+            return outputs[-1]
+
+        monkeypatch.setattr(simulation, "_support_fits", counting_fits)
+        monkeypatch.setattr(simulation, "_c_step_paths", recording_paths)
+        _hospital_units(HospitalConfig(k=20, n=60, seed=3))
+        steps = np.concatenate([out[4] for out in outputs])
+        assert not any(out[5].any() for out in outputs)
+        assert steps.size == 100
+        assert sum(rows) == steps.sum()
 
 
 class TestHospitalExperiment:
