@@ -57,7 +57,10 @@ def check_weights(weights, count: int) -> np.ndarray:
     """``weights`` as a float vector, or :class:`BadWeights` unless it has
     ``count >= 1`` finite, strictly positive entries summing to one within
     1e-9."""
-    lam = np.asarray(weights, dtype=float)
+    try:
+        lam = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise BadWeights("weights must be numeric") from None
     if lam.ndim != 1 or lam.shape[0] != count:
         raise BadWeights(f"expected {count} weights, got shape {lam.shape}")
     if count == 0:

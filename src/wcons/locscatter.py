@@ -53,7 +53,10 @@ class LocScatter:
     cov: SpdMatrix
 
     def __post_init__(self):
-        m = np.array(self.mean, dtype=float)
+        try:
+            m = np.array(self.mean, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInput("mean must be a numeric vector") from None
         if m.ndim != 1:
             raise InvalidInput(f"mean must be a vector, got shape {m.shape}")
         if not all(map(math.isfinite, m.tolist())):
@@ -84,6 +87,10 @@ class AffineMap:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply the map to a point ``(d,)`` or a batch of points ``(n, d)``."""
         x = np.asarray(x, dtype=float)
+        d = self.matrix.dim
+        if x.ndim not in (1, 2) or x.shape[-1] != d:
+            raise DimensionMismatch(
+                f"the map acts on points of dimension {d}, got shape {x.shape}")
         return self.target_mean + (x - self.source_mean) @ self.matrix.entries
 
 
@@ -222,8 +229,9 @@ def similarity_pushforward(p: LocScatter, scale: float,
 
     ``rotation`` must be a ``(d, d)`` orthogonal matrix (a reflection
     too), with ``R R^T`` within 1e-10 of the identity entrywise, and
-    ``shift`` a ``(d,)`` vector; the scatter becomes scale^2 * R S R^T
-    and the mean scale * R m + shift.
+    ``shift`` a finite ``(d,)`` vector; the scatter becomes
+    scale^2 * R S R^T and the mean scale * R m + shift.  A scale at which
+    either overflows raises :class:`InvalidInput`.
     """
     check_positive(scale, "similarity scale")
     r = np.asarray(rotation, dtype=float)
@@ -232,8 +240,14 @@ def similarity_pushforward(p: LocScatter, scale: float,
         raise DimensionMismatch(
             f"a member of dimension {d} needs a ({d}, {d}) rotation and a "
             f"({d},) shift, got {r.shape} and {b.shape}")
-    if not np.abs(r @ r.T - np.eye(d)).max() <= 1e-10:  # NaN fails too
-        raise InvalidInput("rotation must be orthogonal")
-    mean = scale * (r @ p.mean) + b
-    cov = (scale * scale) * (r @ p.cov.entries @ r.T)
+    if not np.isfinite(b).all():
+        raise InvalidInput("shift has non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.abs(r @ r.T - np.eye(d)).max() <= 1e-10:  # NaN fails too
+            raise InvalidInput("rotation must be orthogonal")
+        mean = scale * (r @ p.mean) + b
+        cov = (scale * scale) * (r @ p.cov.entries @ r.T)
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise InvalidInput(
+            f"similarity scale {scale!r} overflows the pushforward")
     return LocScatter(mean, certify_spd(cov))

@@ -76,9 +76,10 @@ def _planar_haar(x: np.ndarray):
 def _half_log_cap(dim: int, condition_cap: float) -> float:
     """Check the arguments of :func:`random_spd`; half the log of the cap."""
     check_count(dim, "dim", 1)
-    if not (is_real(condition_cap) and math.isfinite(condition_cap)
-            and condition_cap >= 1.0):
-        raise InvalidInput("condition cap must be finite and at least 1, "
+    # Past 1e10 a draw's smallest eigenvalue can fall under the positivity
+    # floor of certification, 1e-10 of the largest (spd.pd_floor).
+    if not (is_real(condition_cap) and 1.0 <= condition_cap <= 1e10):
+        raise InvalidInput("condition cap must be finite and in [1, 1e10], "
                            f"got {condition_cap!r}")
     return 0.5 * np.log(condition_cap)
 
@@ -90,7 +91,9 @@ def random_spd(dim: int, condition_cap: float,
     Eigenvalues are log-uniform on [cap^-1/2, cap^1/2] and the eigenbasis
     is Haar-distributed orthogonal, so the spectrum is bounded by
     construction.  The eigenbasis is the Q factor, with ``diag(R) >= 0``,
-    of a standard normal draw; at d = 2 it is built in closed form.
+    of a standard normal draw; at d = 2 it is built in closed form.  The
+    cap must lie in [1, 1e10]: past it the smallest eigenvalue of a draw
+    can fall under the positivity floor of certification.
     """
     half = _half_log_cap(dim, condition_cap)
     return _spd_draw(dim, half, _generator(gen))

@@ -55,7 +55,10 @@ class SymMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
+        try:
+            a = np.asarray(self.entries, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInput("matrix entries must be numeric") from None
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
         s = np.add(a, a.T, order="C")
@@ -246,7 +249,10 @@ def certify_spd(m: SymMatrix | np.ndarray) -> SpdMatrix:
     if isinstance(m, SymMatrix):
         a = m.entries
     else:
-        a = np.asarray(m, dtype=float)
+        try:
+            a = np.asarray(m, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInput("matrix entries must be numeric") from None
     if a.shape == (2, 2):
         # The symmetrization of SymMatrix, entry by entry; on a SymMatrix's
         # entries it changes no bit.
@@ -268,9 +274,14 @@ def spd_log(m: SpdMatrix) -> SymMatrix:
 
 
 def spd_exp(m: SymMatrix) -> SpdMatrix:
-    """Matrix exponential of a symmetric matrix; the result is certified."""
+    """Matrix exponential of a symmetric matrix; the result is certified.
+    An exponential that overflows raises :class:`InvalidInput`."""
     w, v = sym_eigen(m)
-    return certify_spd(_rebuild(v, np.exp(w)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _rebuild(v, np.exp(w))
+    if not np.isfinite(e).all():
+        raise InvalidInput("matrix exponential overflows")
+    return certify_spd(e)
 
 
 def sqrt_psd_batch(mats: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import (GridMismatch, InvalidInput, check_count, check_positive,
-                     check_weights)
+                     check_weights, is_real)
 
 __all__ = [
     "QuantileGrid",
@@ -93,6 +93,8 @@ def gaussian_quantiles(mean: float, sigma: float, size: int = DEFAULT_GRID_SIZE)
     the grid and mirrored, so the grid is antisymmetric about its center up to
     the placement of ``mean``.
     """
+    if not is_real(mean):
+        raise InvalidInput(f"mean must be a real number, got {mean!r}")
     check_positive(sigma, "sigma")
     check_count(size, "size", 2)
     z = np.empty(size)

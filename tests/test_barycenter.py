@@ -98,6 +98,11 @@ class TestWeightedEnsemble:
             WeightedEnsemble(np.array([1.5, -0.5]),
                              (gauss_1d(0.0, 1.0), gauss_1d(1.0, 1.0)))
 
+    def test_weights_must_be_numeric(self):
+        # Used to raise numpy's ValueError from the float conversion.
+        with pytest.raises(BadWeights, match="numeric"):
+            WeightedEnsemble(["a"], (gauss_1d(0.0, 1.0),))
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(BadWeights):
             WeightedEnsemble(np.array([0.5, 0.6]),

@@ -42,6 +42,15 @@ def planar_doc(path, scale):
         for i in range(6)])
 
 
+def mixed_scale_doc(path):
+    """Six planar members, five at scale 1e75 and one at 1e80."""
+    return gauss_doc(path, [
+        (1.0 / 6.0, [i * scale ** 0.5, -i * scale ** 0.5],
+         [[(1 + i % 3) * scale, 0.3 * scale],
+          [0.3 * scale, (2 - i % 2) * scale]])
+        for i, scale in enumerate([1e75] * 5 + [1e80])])
+
+
 def cli_process(args):
     """Run the CLI in a fresh interpreter on this checkout's sources."""
     src = Path(__file__).resolve().parent.parent / "src"
@@ -564,6 +573,23 @@ class TestExitCodes:
         assert proc.stderr == f"solver failure: {what} is not finite\n"
         assert not out.exists()
 
+    # "huge": six planar members at scale 1e78, where det S det S_j
+    # overflows.  "mixed": five members at 1e75 and one at 1e80, so in one
+    # call only the rows that pair the two scales take the product of
+    # roots.  Both lie inside the planar scale edge.
+    @pytest.mark.parametrize("doc", ["huge", "mixed"])
+    @pytest.mark.parametrize("flags", [["barycenter"],
+                                       ["trim", "--alpha", "0.2"]])
+    def test_planar_scale_edge_is_exit_0(self, tmp_path, doc, flags):
+        # A real process, so a numpy warning would show on stderr.
+        if doc == "huge":
+            path = planar_doc(tmp_path / "huge.json", 1e78)
+        else:
+            path = mixed_scale_doc(tmp_path / "mixed.json")
+        proc = cli_process(flags + [path])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
     def test_huge_planar_ellipse_is_exit_0(self, tmp_path):
         # Tracing ellipses takes no distance, so a document past the
         # planar scale edge still traces, without a warning.
@@ -627,11 +653,7 @@ class TestFailureContract:
 
     @pytest.mark.parametrize("probe", list(FAILURE_PROBES))
     def test_subprocess(self, tmp_path, probe):
-        argv = failure_probe(tmp_path, probe)
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run([sys.executable, "-m", "wcons.cli", *argv],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(src)})
+        proc = cli_process(failure_probe(tmp_path, probe))
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
@@ -661,11 +683,7 @@ class TestMalformedSecondFile:
         good = gauss_doc(tmp_path / "a.json", [(1.0, [0.0], [[1.0]])])
         bad = tmp_path / "bad.json"
         bad.write_text("not json", encoding="utf-8")
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run([sys.executable, "-m", "wcons.cli", "distance",
-                               good, str(bad)],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(src)})
+        proc = cli_process(["distance", good, str(bad)])
         assert proc.returncode == 1
         assert proc.stderr == (f"error: {bad}: invalid JSON at line 1, "
                                f"column 1: Expecting value\n")
@@ -675,11 +693,7 @@ class TestMalformedSecondFile:
         # keeps its exit code and names the file too.
         good = gauss_doc(tmp_path / "good.json", [(1.0, [0.0], [[1.0]])])
         bad = gauss_doc(tmp_path / "nspd.json", [(1.0, [0.0], [[-1.0]])])
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run([sys.executable, "-m", "wcons.cli", "distance",
-                               good, bad],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(src)})
+        proc = cli_process(["distance", good, bad])
         assert proc.returncode == 1
         assert proc.stderr == (f"error: {bad}: distributions[0]: cov is not "
                                f"positive definite (min eigenvalue -1)\n")

@@ -367,6 +367,12 @@ class TestOptimalMap:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             optimal_map(gauss_1d(0.0, 1.0), gauss([0.0, 0.0], np.eye(2)))
+        # Points of another dimension used to end in a numpy broadcast.
+        m = optimal_map(gauss([0.0, 0.0], np.eye(2)),
+                        gauss([1.0, 0.0], np.eye(2)))
+        for x in (np.zeros(3), np.zeros((4, 3)), 1.0, np.zeros((1, 1, 2))):
+            with pytest.raises(DimensionMismatch, match="dimension 2"):
+                m.apply(x)
 
 
 class TestCenterSplit:
@@ -414,6 +420,12 @@ class TestSimilarityPushforward:
         for scale in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(InvalidInput, match="similarity scale"):
                 similarity_pushforward(p, scale, np.eye(1), np.zeros(1))
+        # Finite scales whose square overflows (1e160 and past) used to
+        # warn about inf * 0 before certification failed.
+        planar = gauss([1.0, -2.0], np.eye(2))
+        for scale in (1e160, 1e300):
+            with pytest.raises(InvalidInput, match="similarity scale"):
+                similarity_pushforward(planar, scale, np.eye(2), np.zeros(2))
 
     def test_rejects_wrong_shapes(self):
         # A (3, 3) rotation used to fail inside matmul, a (3,) shift in a
@@ -424,10 +436,18 @@ class TestSimilarityPushforward:
             with pytest.raises(DimensionMismatch, match="rotation"):
                 similarity_pushforward(p, 1.0, rot, shift)
 
+    def test_rejects_a_non_finite_shift(self):
+        # A NaN shift used to be reported as a non-finite mean.
+        p = gauss([1.0, -2.0], [[2.0, 0.3], [0.3, 1.0]])
+        for shift in ([np.nan, 0.0], [0.0, np.inf]):
+            with pytest.raises(InvalidInput, match="shift"):
+                similarity_pushforward(p, 1.0, np.eye(2), np.array(shift))
+
     def test_rejects_a_rotation_that_is_not_orthogonal(self):
         p = gauss([1.0, -2.0], [[2.0, 0.3], [0.3, 1.0]])
         near = np.array([[1.0, 1e-9], [0.0, 1.0]])
-        for rot in (3.0 * np.eye(2), near, np.full((2, 2), np.nan)):
+        for rot in (3.0 * np.eye(2), near, np.full((2, 2), np.nan),
+                    1e200 * np.eye(2)):
             with pytest.raises(InvalidInput, match="orthogonal"):
                 similarity_pushforward(p, 1.0, rot, np.zeros(2))
 
@@ -449,6 +469,9 @@ class TestLocScatterValidation:
     def test_mean_must_be_vector(self):
         with pytest.raises(InvalidInput):
             LocScatter(np.zeros((2, 2)), certify_spd(np.eye(2)))
+        for mean in ("ab", ["a", "b"], [[0.0], [0.0, 1.0]], [10 ** 400, 0]):
+            with pytest.raises(InvalidInput, match="numeric"):
+                LocScatter(mean, certify_spd(np.eye(2)))
 
     def test_mean_must_be_finite(self):
         with pytest.raises(InvalidInput):

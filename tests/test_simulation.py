@@ -163,6 +163,13 @@ class TestRandomSpd:
             w = np.linalg.eigvalsh(m.entries)
             assert w[-1] / w[0] <= cap * (1.0 + 1e-9)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_largest_cap_certifies(self, dim):
+        # At 1e10 the spectrum still clears the positivity floor; at 1e12
+        # some of these draws did not.
+        for seed in range(200):
+            random_spd(dim, 1e10, np.random.default_rng(seed))
+
     def test_rejects_bad_arguments(self):
         gen = RngState(3).generator()
         with pytest.raises(InvalidInput):
@@ -175,7 +182,7 @@ class TestRandomSpd:
         with pytest.raises(InvalidInput, match="must be an integer"):
             random_spd(2.0, 4.0, RngState(3).generator())
 
-    @pytest.mark.parametrize("cap", [math.inf, math.nan, True])
+    @pytest.mark.parametrize("cap", [math.inf, math.nan, True, 1e12])
     def test_rejects_non_finite_cap(self, cap):
         # Used to raise OverflowError from the uniform draw.
         with pytest.raises(InvalidInput, match="finite"):
@@ -1073,7 +1080,7 @@ class TestConsistencyHarness:
         with pytest.raises(InvalidInput, match="must be an integer"):
             gaussian_parameter_law(dim=dim)
 
-    @pytest.mark.parametrize("cap", [0.5, math.nan, math.inf, True])
+    @pytest.mark.parametrize("cap", [0.5, math.nan, math.inf, True, 1e12])
     def test_parameter_law_checks_condition_cap_when_built(self, cap):
         with pytest.raises(InvalidInput, match="condition cap"):
             gaussian_parameter_law(condition_cap=cap)

@@ -45,6 +45,15 @@ class TestSymMatrix:
         with pytest.raises(InvalidInput):
             SymMatrix(np.ones(4))
 
+    @pytest.mark.parametrize("entries", ["x", [["a", "b"], ["c", "d"]],
+                                         [[1.0], [1.0, 2.0]]])
+    def test_rejects_non_numeric(self, entries):
+        # Used to raise numpy's ValueError from the float conversion.
+        with pytest.raises(InvalidInput, match="numeric"):
+            SymMatrix(entries)
+        with pytest.raises(InvalidInput, match="numeric"):
+            certify_spd(entries)
+
 
 class TestSymEigen:
     def test_diagonal_matrix(self):
@@ -217,6 +226,12 @@ class TestLogExp:
             s = _random_sym(gen, 4, scale=0.5)
             back = spd_log(spd_exp(s)).entries
             np.testing.assert_allclose(back, s.entries, atol=1e-10)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_exp_overflow_raises(self, dim):
+        # exp(1000) is inf: numpy used to warn before certification failed.
+        with pytest.raises(InvalidInput, match="exponential"):
+            spd_exp(SymMatrix(1000.0 * np.eye(dim)))
 
     def test_exp_of_zero(self):
         np.testing.assert_allclose(spd_exp(SymMatrix(np.zeros((2, 2)))).entries,

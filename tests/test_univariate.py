@@ -99,6 +99,10 @@ class TestGaussianQuantiles:
                 gaussian_quantiles(0.0, sigma)
         with pytest.raises(InvalidInput):
             gaussian_quantiles(0.0, 1.0, size=1)
+        # A string mean used to end in numpy's UFuncTypeError.
+        for mean in ("a", None, [0.0]):
+            with pytest.raises(InvalidInput, match="mean"):
+                gaussian_quantiles(mean, 1.0, 8)
 
 
 class TestDistance1d:
@@ -157,6 +161,8 @@ class TestQuantileBarycenter:
             quantile_barycenter([1.5, -0.5], [f, g])
         with pytest.raises(BadWeights):
             quantile_barycenter([1.0], [f, g])
+        with pytest.raises(BadWeights, match="numeric"):
+            quantile_barycenter(["a", "b"], [f, g])
 
     @pytest.mark.parametrize("weights", [[math.nan, math.nan],
                                          [math.inf, 0.5], [0.5, math.nan]])
