@@ -357,13 +357,19 @@ def _mcd_fits(clouds: np.ndarray, h: int, restarts: int,
             means, covs, _, history, steps, failed = _c_step_paths(
                 clouds[own[0]:own[-1] + 1], own - own[0], h,
                 mean0[lo:lo + block], cov0[lo:lo + block])
-            for p in np.flatnonzero(~failed):
-                i = own[p]
-                logdet = history[p, steps[p] - 1]
-                if needed[i] == restarts or logdet < best_logdet[i]:
-                    best_logdet[i], best_mean[i], best_cov[i] = (
-                        logdet, means[p], covs[p])
-                needed[i] -= 1
+            ok = np.flatnonzero(~failed)
+            unit, logdet = own[ok], history[ok, steps[ok] - 1]
+            # Each unit's first path in (unit, log-determinant, restart)
+            # order is its smallest, the earliest of equals; it takes the
+            # slot if the unit has none or it is strictly smaller.
+            order = np.lexsort((ok, logdet, unit))
+            first = order[np.diff(unit[order], prepend=-1) != 0]
+            i, p, logdet = unit[first], ok[first], logdet[first]
+            take = (needed[i] == restarts) | (logdet < best_logdet[i])
+            i, p = i[take], p[take]
+            best_logdet[i], best_mean[i], best_cov[i] = (
+                logdet[take], means[p], covs[p])
+            needed -= np.bincount(unit, minlength=u)
     if np.any(needed > 0):
         raise SingularSubset(f"no nonsingular fit in {10 * restarts} attempts")
     return best_mean, 0.5 * (best_cov + np.swapaxes(best_cov, 1, 2))

@@ -45,6 +45,8 @@ __all__ = [
 _CUM_TOL = 1e-12
 # Cap on the concentration steps of one restart.
 OUTER_MAX_ITER = 100
+# Rows of a call's matrix of solved weights; it doubles when full.
+_SOLVED_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,12 @@ def trim_weights(distances, weights, alpha: float) -> np.ndarray:
         raise BadWeights("weights must be finite and strictly positive")
     if not np.isfinite(d).all():
         raise InvalidInput("distances must be finite")
+    return _trim(d, lam, alpha)
+
+
+def _trim(d: np.ndarray, lam: np.ndarray, alpha: float) -> np.ndarray:
+    """The selection of :func:`trim_weights`, on arguments it has checked
+    or that hold its conditions by construction."""
     if alpha == 0.0:
         return lam.copy()
     target = 1.0 - alpha
@@ -121,31 +129,56 @@ def trim_weights(distances, weights, alpha: float) -> np.ndarray:
     return kept / target
 
 
-def _warm_start(solved: dict, lam_star: np.ndarray) -> np.ndarray | None:
+class _Solved(dict):
+    """The kept sets one call has solved, in the order solved: a kept
+    set's key maps to its first weights, its solve and ``d2``.  Each entry
+    stored, once per key, also writes its weights to the next row of
+    ``weights``, one matrix that doubles when full, so warm starts read
+    every solved set's weights without restacking them."""
+
+    _rows = np.empty((0, 0))
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._rows[:len(self)]
+
+    def __setitem__(self, key, entry):
+        lam_star, count = entry[0], len(self)
+        if count == 0:
+            self._rows = np.empty((_SOLVED_ROWS, lam_star.size))
+        elif count == len(self._rows):
+            self._rows = np.concatenate([self._rows,
+                                         np.empty_like(self._rows)])
+        self._rows[count] = lam_star
+        super().__setitem__(key, entry)
+
+
+def _warm_start(solved: _Solved, lam_star: np.ndarray) -> np.ndarray | None:
     """Start for the solve of ``lam_star``: the scatter of the solved kept
     set whose stored weights lie nearest to it in L1 distance, ties to the
     earliest solved.  ``None`` (a cold start) for the call's first solve."""
     if not solved:
         return None
-    entries = list(solved.values())
-    gaps = np.abs(np.stack([e[0] for e in entries]) - lam_star).sum(axis=1)
-    return entries[int(np.argmin(gaps))][1].bary.cov.entries
+    gaps = np.abs(solved.weights - lam_star).sum(axis=1)
+    return list(solved.values())[int(np.argmin(gaps))][1].bary.cov.entries
 
 
 def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int,
-                  solved: dict):
+                  solved: _Solved):
     """One multistart path: (bary, weights, variance, history, d2), with
     ``d2`` the squared distances from ``bary`` to every atom.  ``solved``
-    maps a kept set's key to its first weights, solve and ``d2``, in the
-    order solved; the path reuses entries, adds its solves, warm-started,
-    and ends at its first revisited key, on its last solve.  Each trim
-    reads the last solve's distances; only the start's are computed here."""
+    holds the call's solved kept sets; the path reuses them, adds its
+    solves, warm-started, and ends at its first revisited key, on its last
+    solve.  Each trim reads the last solve's distances; only the start's
+    are computed here.  The ensemble's weights are positive, the config's
+    alpha valid and the distances finite, so the trims skip the checks of
+    :func:`trim_weights`."""
     gen = RngState(cfg.seed).split(index).generator()
     d2 = ens._distances_sq(ens.members[int(gen.integers(ens.size))])
     whole = ens.weights / (1.0 - cfg.alpha)
     visited: dict = {}  # key -> variance, in the order visited
     for _ in range(OUTER_MAX_ITER):
-        lam_star = trim_weights(d2, ens.weights, cfg.alpha)
+        lam_star = _trim(d2, ens.weights, cfg.alpha)
         key = (lam_star > 0.0).tobytes() + (lam_star == whole).tobytes()
         if key in visited:
             break
@@ -185,7 +218,7 @@ def trimmed_barycenter(ens: WeightedEnsemble, cfg: TrimConfig) -> TrimmedResult:
     reached with, and each new solve starts from the nearest solved set;
     results depend only on the ensemble and the config.
     """
-    solved: dict = {}
+    solved = _Solved()
     paths = [_restart_path(ens, cfg, r, solved) for r in range(cfg.restarts)]
     finals = [p[2] for p in paths]
     best = min(range(cfg.restarts), key=finals.__getitem__)

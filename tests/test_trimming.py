@@ -294,7 +294,7 @@ def cold_trimmed_barycenter(ens, cfg, monkeypatch):
     ``trimmed_barycenter``."""
     with monkeypatch.context() as m:
         m.setattr(trimming, "_warm_start", lambda *args: None)
-        paths = [trimming._restart_path(ens, cfg, r, {})
+        paths = [trimming._restart_path(ens, cfg, r, trimming._Solved())
                  for r in range(cfg.restarts)]
     finals = [p[2] for p in paths]
     best = min(range(cfg.restarts), key=finals.__getitem__)
@@ -322,8 +322,8 @@ class TestSharedSolves:
         ens = far_outlier_ensemble(80, 20, 2)
         cfg = TrimConfig(alpha=0.2, restarts=10, seed=3)
         # One solve per outer step that does not stop on a revisited set.
-        outer_steps = sum(len(trimming._restart_path(ens, cfg, r, {})[3])
-                          for r in range(cfg.restarts))
+        outer_steps = sum(len(trimming._restart_path(
+            ens, cfg, r, trimming._Solved())[3]) for r in range(cfg.restarts))
         # A solve is identified by its kept set: the atoms it keeps and
         # which of them it keeps whole.
         whole = ens.weights / (1.0 - cfg.alpha)
@@ -347,7 +347,7 @@ class TestSharedSolves:
         a = np.array([0.5, 0.0, 0.0, 0.5])
         b = np.array([0.5, 0.5, 0.0, 0.0])
         trims = itertools.cycle([a, b])
-        monkeypatch.setattr(trimming, "trim_weights",
+        monkeypatch.setattr(trimming, "_trim",
                             lambda *args: next(trims).copy())
         res = trimmed_barycenter(ens, TrimConfig(alpha=0.5, restarts=1))
         assert res.outer_iterations == 2
@@ -437,10 +437,17 @@ class TestWarmStarts:
         lam = {"a": np.array([0.5, 0.5, 0.0, 0.0]),
                "b": np.array([0.0, 0.5, 0.5, 0.0]),
                "c": np.array([0.5, 0.0, 0.5, 0.0])}
-        solved = {}
+        # Sets that keep atom 3, farther from both targets below than a,
+        # b and c, fill the weight matrix past its first size.
+        far = np.array([0.5, 0.0, 0.0, 0.5])
+        lam.update((f"far{j}", far) for j in range(trimming._SOLVED_ROWS))
+        solved = trimming._Solved()
         for name in lam:
             solved[name] = (lam[name], *trimming._barycenter(
                 ens, lam[name], None, 1e-12, 1000))
+        assert len(solved) > trimming._SOLVED_ROWS
+        np.testing.assert_array_equal(solved.weights,
+                                      np.stack(list(lam.values())))
         starts = [res.bary.cov.entries for _, res, _ in solved.values()]
         # [0.5, 0.25, 0.25, 0] lies at L1 distance 0.5 from each of a, b
         # and c: the first solved wins.
@@ -464,7 +471,7 @@ class TestWarmStarts:
         # Each restart keeps one atom at weight exactly 1, and later
         # restarts find earlier solves in the shared dict.
         cfg = TrimConfig(alpha=0.75, restarts=8, seed=4)
-        solved = {}
+        solved = trimming._Solved()
         paths = [trimming._restart_path(ens, cfg, r, solved)
                  for r in range(cfg.restarts)]
         assert len({int(np.flatnonzero(p[1])[0]) for p in paths}) > 1
