@@ -321,14 +321,17 @@ def _mcd_fits(clouds: np.ndarray, h: int, restarts: int,
     """Raw MCD fits of the clouds ``(u, n, d)``: means ``(u, d)`` and
     covariances ``(u, d, d)``, symmetrized as :class:`SymMatrix` does.
 
-    Cloud ``i`` draws ``restarts`` random (d+1)-point start subsets in order
-    from ``gens[i]``.  The paths of all clouds step in blocks of
+    Starts are drawn in rounds: in each, a cloud that needs ``m`` more
+    restarts makes one ``gens[i].random((m, n))`` call, and each row's
+    d + 1 lowest-ranked points, in ascending index order, are a uniform
+    (d+1)-point start subset.  The paths of all clouds step in blocks of
     ``_BLOCK_POINTS // n`` paths (at least one), in order, and only each
     path's final log-determinant, fit and failure flag outlive its block.
-    Only failed paths are redrawn, so every generator makes exactly the
-    draws a one-subset-at-a-time loop would; a cloud gives up after 10 *
-    restarts attempts.  The smallest final log-determinant wins, the
-    earliest completed restart winning ties.
+    Only failed paths are redrawn, in the next round, so every generator
+    makes exactly the draws of a loop that draws ``gen.random(n)`` for one
+    subset at a time; a cloud gives up after 10 * restarts attempts.  Each
+    block picks its winners in one array pass: the smallest final
+    log-determinant wins, the earliest completed restart winning ties.
     """
     u, n, d = clouds.shape
     check_count(h, "h", 1)
@@ -342,15 +345,19 @@ def _mcd_fits(clouds: np.ndarray, h: int, restarts: int,
     best_cov = np.zeros((u, d, d))
     block = max(1, _BLOCK_POINTS // n)
     while np.any((needed > 0) & (attempts > 0)):
-        owners, subsets = [], []
-        for i in np.flatnonzero((needed > 0) & (attempts > 0)):
-            draws = min(needed[i], attempts[i])
-            attempts[i] -= draws
-            owners += [i] * draws
-            subsets += [gens[i].choice(n, size=d + 1, replace=False)
-                        for _ in range(draws)]
-        owners = np.array(owners)
-        mean0, cov0 = _ml_fit(clouds[owners[:, None], np.array(subsets)])
+        units = np.flatnonzero((needed > 0) & (attempts > 0))
+        draws = np.minimum(needed[units], attempts[units])
+        attempts[units] -= draws
+        owners = np.repeat(units, draws)
+        # One uniform draw per point and start; a start is the d + 1
+        # lowest-ranked points of its row, in ascending index order.
+        ranks = np.empty((owners.size, n))
+        ends = np.cumsum(draws)
+        for i, lo, hi in zip(units, ends - draws, ends):
+            gens[i].random(out=ranks[lo:hi])
+        subsets = np.sort(np.argpartition(ranks, d, axis=1)[:, :d + 1],
+                          axis=1)
+        mean0, cov0 = _ml_fit(clouds[owners[:, None], subsets])
         for lo in range(0, owners.size, block):
             # Owners ascend, so a block's clouds are one slice.
             own = owners[lo:lo + block]
@@ -381,10 +388,12 @@ def estimate_mcd(points: np.ndarray, h: int, restarts: int,
 
     ``restarts`` random (d+1)-point subsets seed concentration paths; the
     final fit with the smallest determinant wins (ties keep the earliest
-    restart).  Singular subsets are redrawn, giving up after 10 * restarts
-    attempts.  The paths step in blocks of about 10,000 points.  No
-    consistency correction is applied: the raw h-subset maximum-likelihood
-    covariance is returned.
+    restart).  The starts of a round come from one ``gen.random((m, n))``
+    call, each row's d + 1 lowest-ranked points being a start, and only
+    singular starts are redrawn, in later rounds, giving up after 10 *
+    restarts attempts.  The paths step in blocks of about 10,000 points.
+    No consistency correction is applied: the raw h-subset
+    maximum-likelihood covariance is returned.
     """
     means, covs = _mcd_fits(_points(points)[None], h, restarts,
                             [_generator(gen)])
@@ -509,9 +518,10 @@ def _hospital_units(cfg: HospitalConfig):
     inlier, outlier = cfg.inlier, cfg.outlier
     inlier_root, outlier_root = inlier.cov.sqrt(), outlier.cov.sqrt()
     shape = (cfg.n, inlier.dim)
+    root = RngState(cfg.seed)
     gens, clouds, counts = [], [], []
     for i in range(cfg.k):
-        gen = RngState(cfg.seed).split(i).generator()
+        gen = root.split(i).generator()
         p = gen.beta(*cfg.contamination_beta)
         mask = gen.random(cfg.n) < p
         clean = inlier.mean + gen.standard_normal(shape) @ inlier_root

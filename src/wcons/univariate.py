@@ -105,4 +105,9 @@ def gaussian_quantiles(mean: float, sigma: float, size: int = DEFAULT_GRID_SIZE)
     z[size - half:] = -lower[::-1]
     if size % 2 == 1:
         z[half] = 0.0
-    return QuantileGrid(mean + sigma * z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = mean + sigma * z
+    if not np.isfinite(values).all():
+        raise InvalidInput(f"sigma = {sigma!r} overflows the quantile grid "
+                           f"about mean {mean!r}")
+    return QuantileGrid(values)

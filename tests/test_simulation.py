@@ -67,7 +67,7 @@ def reference_estimate_mcd(points, h, restarts, gen):
     n, d = points.shape
     best, failures, completed = None, 0, 0
     while completed < restarts:
-        subset = gen.choice(n, size=d + 1, replace=False)
+        subset = np.sort(np.argpartition(gen.random(n), d)[:d + 1])
         start = points[subset]
         mean0 = start.mean(axis=0)
         centered = start - mean0
@@ -84,10 +84,10 @@ def reference_estimate_mcd(points, h, restarts, gen):
     return best[1], best[2], failures
 
 
-def duplicated_cloud(seed, n=30, copies=15):
-    """A planar cloud whose first ``copies`` points coincide, so that some
+def duplicated_cloud(seed, n=30, copies=15, dim=2):
+    """A cloud whose first ``copies`` points coincide, so that some
     (d+1)-point starts are exactly singular."""
-    pts = RngState(seed).generator().standard_normal((n, 2))
+    pts = RngState(seed).generator().standard_normal((n, dim))
     pts[:copies] = pts[0]
     return pts
 
@@ -731,16 +731,17 @@ class TestEstimateMcd:
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.cov.entries, b.cov.entries)
 
+    @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("duplicated", [False, True])
-    def test_generator_advances_as_one_draw_at_a_time(self, duplicated):
+    def test_generator_advances_as_one_draw_at_a_time(self, duplicated, dim):
         # Batched restarts must consume exactly the draws of the sequential
         # loop, redraws included, and pick the same winner.
         total_failures = 0
         for seed in range(6):
             if duplicated:
-                pts = duplicated_cloud(seed)
+                pts = duplicated_cloud(seed, dim=dim)
             else:
-                pts = RngState(seed).generator().standard_normal((30, 2))
+                pts = RngState(seed).generator().standard_normal((30, dim))
             gen_a = RngState(100 + seed).generator()
             gen_b = RngState(100 + seed).generator()
             est = estimate_mcd(pts, 20, 5, gen_a)
@@ -836,6 +837,89 @@ class TestConcentrationBlocks:
         assert not any(out[5].any() for out in outputs)
         assert steps.size == 100
         assert sum(rows) == steps.sum()
+
+
+def loop_winners(record, restarts):
+    """The attempt each unit keeps when the recorded paths ``(unit,
+    attempt, logdet)``, NaN for a failed path, are visited one at a time:
+    a unit's first success takes the slot and a later one replaces it
+    only on a strictly smaller log-determinant."""
+    best, needed = {}, {}
+    for unit, attempt, logdet in record:
+        if np.isnan(logdet):
+            continue
+        if needed.get(unit, restarts) == restarts or logdet < best[unit][0]:
+            best[unit] = (logdet, attempt)
+        needed[unit] = needed.get(unit, restarts) - 1
+    return [best[unit][1] for unit in sorted(best)]
+
+
+class TestWinnerPass:
+    """Each block's winners come from one array pass; crafted block
+    outputs check it against the one-path-at-a-time rule."""
+
+    @staticmethod
+    def crafted_fits(plan, restarts, n, monkeypatch):
+        """Run :func:`_mcd_fits` on ``len(plan)`` planar clouds of ``n``
+        points with ``_c_step_paths`` replaced: attempt ``a`` of unit ``i``
+        ends at log-determinant ``plan[i][a]`` (NaN: the path fails), with
+        mean ``(i, a)``.  Returns the winning attempts and the record of
+        every path, in the order stepped."""
+        u = len(plan)
+        clouds = RngState(5).generator().standard_normal((u, n, 2))
+        clouds[:, 0, 0] = np.arange(u)  # a block's first unit, by value
+        record, blocks = [], []
+
+        def crafted_paths(block_clouds, owner, h, means, covs):
+            units = int(block_clouds[0, 0, 0]) + owner
+            blocks.append(units)
+            b = units.size
+            out_means, logdet = np.zeros((b, 2)), np.zeros(b)
+            for p, i in enumerate(units.tolist()):
+                attempt = sum(1 for r in record if r[0] == i)
+                logdet[p] = plan[i][attempt]
+                out_means[p] = i, attempt
+                record.append((i, attempt, logdet[p]))
+            failed = np.isnan(logdet)
+            history = np.full((b, 100), np.nan)
+            history[:, 0] = logdet
+            steps = np.where(failed, 0, 1)
+            covs = np.broadcast_to(np.eye(2), (b, 2, 2)).copy()
+            return out_means, covs, None, history, steps, failed
+
+        monkeypatch.setattr(simulation, "_c_step_paths", crafted_paths)
+        gens = [RngState(6).split(i).generator() for i in range(u)]
+        means, _ = _mcd_fits(clouds, n - 2, restarts, gens)
+        np.testing.assert_array_equal(means[:, 0], np.arange(u))
+        return means[:, 1].astype(int).tolist(), record, blocks
+
+    def test_crafted_ties_failures_and_redraws(self, monkeypatch):
+        nan = np.nan
+        plan = [[1.0, 1.0, 1.0],              # exact ties: attempt 0
+                [nan, 3.0, 4.0, 5.0],         # failed first: attempt 1
+                [-1.0, nan, -2.0, -2.0],      # redraw ties: attempt 2
+                [0.5, nan, nan, nan, 0.25, 0.5]]
+        # Blocks of two paths: units span blocks and redraw rounds.
+        monkeypatch.setattr(simulation, "_BLOCK_POINTS", 20)
+        winners, record, blocks = self.crafted_fits(plan, 3, 10, monkeypatch)
+        assert winners == [0, 1, 2, 4]
+        assert winners == loop_winners(record, 3)
+        assert [len(set(b.tolist())) for b in blocks[:6]] == [1, 2, 1, 1, 2, 1]
+        # Round 2 redraws units 1, 2 and 3 (two paths); round 3 unit 3.
+        assert [b.tolist() for b in blocks[6:]] == [[1, 2], [3, 3], [3]]
+
+    @pytest.mark.parametrize("block", [1, 3, 1000])
+    def test_random_plans_match_the_loop(self, block, monkeypatch):
+        # Log-determinants from {-1, 0, 1}, so ties are common, and one
+        # path in four failing.
+        gen = np.random.default_rng(41 + block)
+        plan = [np.where(gen.random(50) < 0.25, np.nan,
+                         gen.integers(-1, 2, 50).astype(float)).tolist()
+                for _ in range(12)]
+        monkeypatch.setattr(simulation, "_BLOCK_POINTS", 10 * block)
+        winners, record, _ = self.crafted_fits(plan, 4, 10, monkeypatch)
+        assert winners == loop_winners(record, 4)
+        assert sum(np.isnan(r[2]) for r in record) > 0
 
 
 class TestHospitalExperiment:
@@ -975,7 +1059,15 @@ class TestHospitalExperiment:
         # equal.  It was re-pinned when the planar step moved to Python
         # floats (step on arrays: 1efa364c...c3d54c35): the distances moved
         # by at most 3.9e-14 and the scatters by 1.8e-16 relative, and the
-        # kept weights and outlier counts stayed equal.
+        # kept weights and outlier counts stayed equal.  It was re-pinned
+        # when each unit began drawing a round's MCD starts from one
+        # uniform (restarts, n) draw instead of one gen.choice call per
+        # start (choice draws: c65259c8...f8de48b1b1), a new stream: the
+        # outlier counts stayed equal, 3 of the 12 units changed their
+        # winning start, the distances moved from 0.0323, 0.0230 and
+        # 0.0480 to 0.0357, 0.0304 and 0.0503, and the trim dropped atoms
+        # 0 and 1 and kept part of 3, in place of dropping 0 and 5 and
+        # keeping part of 1.
         cfg = HospitalConfig(k=12, n=40, seed=1, mcd_restarts=3,
                              trim_restarts=3)
         rep = hospital_experiment(cfg)
@@ -989,8 +1081,8 @@ class TestHospitalExperiment:
         for a in parts:
             digest.update(np.ascontiguousarray(
                 a, dtype=a.dtype.newbyteorder("<")).tobytes())
-        assert digest.hexdigest() == ("c65259c8de80322f769e9001b422d2b1"
-                                      "6c2080833b0a7880edb1b1f8de48b1b1")
+        assert digest.hexdigest() == ("205bb24b34d4155e48699182642e9dba"
+                                      "c57da93831b13f25db9e5f38efd32aee")
 
     def test_different_seeds_differ(self):
         base = dict(k=10, n=40, mcd_restarts=2, trim_restarts=3)

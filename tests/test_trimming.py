@@ -136,6 +136,47 @@ class TestTrimWeights:
             assert np.count_nonzero(out) == 48
             assert out.tobytes() == trim_weights(reranked, w, 0.2).tobytes()
 
+    def test_private_selection_is_trim_weights(self):
+        # Random distances, rounded ones (ties), alpha 0, and equal
+        # weights at alpha = j/k, whose boundary remainder covers its atom
+        # within the tolerance: the same bits either way.
+        gen = np.random.default_rng(73)
+        for trial in range(300):
+            k = int(gen.integers(1, 16))
+            w = gen.uniform(0.1, 1.0, size=k)
+            w = w / w.sum() if trial % 3 else np.full(k, 1.0 / k)
+            d = gen.uniform(0.0, 10.0, size=k)
+            if trial % 2:
+                d = np.round(d / 3.0)
+            alpha = (float(gen.integers(k)) / k if trial % 3 == 0
+                     else [0.0, 0.2, float(gen.uniform(0.0, 0.9))][trial % 3])
+            expect = trim_weights(d, w, alpha)
+            assert trimming._trim(d, w, alpha).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("distances, weights", [
+        ([1.0, np.nan], [0.5, 0.5]), ([np.inf, 1.0], [0.5, 0.5]),
+        ([1.0, 2.0], [0.0, 1.0]), ([1.0, 2.0], [1.5, -0.5]),
+        ([1.0, 2.0], [np.nan, 1.0])])
+    def test_checks_run_before_the_selection(self, distances, weights,
+                                             monkeypatch):
+        calls = []
+        monkeypatch.setattr(trimming, "_trim",
+                            lambda *args: calls.append(args))
+        with pytest.raises((InvalidInput, BadWeights)):
+            trim_weights(distances, weights, 0.2)
+        assert calls == []
+
+    def test_restart_trims_skip_the_checks(self, monkeypatch):
+        # The ensemble's weights, the config's alpha and the solver's
+        # distances hold the checked conditions by construction.
+        def checked(*args):
+            raise AssertionError("a restart re-validated its trim")
+
+        monkeypatch.setattr(trimming, "trim_weights", checked)
+        res = trimmed_barycenter(far_outlier_ensemble(80, 20, 2),
+                                 TrimConfig(alpha=0.2, restarts=5, seed=3))
+        assert res.outer_iterations >= 1
+
 
 class TestTrimConfig:
     def test_alpha_range(self):

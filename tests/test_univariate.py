@@ -7,6 +7,7 @@ implementation.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,23 @@ class TestGaussianQuantiles:
         for mean in ("a", None, [0.0]):
             with pytest.raises(InvalidInput, match="mean"):
                 gaussian_quantiles(mean, 1.0, 8)
+
+    @pytest.mark.parametrize("mean, sigma", [(0.0, 1e308), (1.5e308, 1e307),
+                                             (-1.5e308, 1e307)])
+    def test_overflowing_grid_names_sigma(self, mean, sigma):
+        # Finite parameters whose grid overflows: the product used to warn
+        # before the grid check blamed the grid.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="sigma = "):
+                gaussian_quantiles(mean, sigma)
+
+    def test_largest_finite_grid(self):
+        # |z| < 3.7 on the default grid, so 1e307 still fits.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = gaussian_quantiles(0.0, 1e307)
+        assert np.isfinite(g.values).all()
 
 
 class TestDistance1d:
