@@ -322,9 +322,9 @@ def _mcd_fits(clouds: np.ndarray, h: int, restarts: int,
     covariances ``(u, d, d)``, symmetrized as :class:`SymMatrix` does.
 
     Starts are drawn in rounds: in each, a cloud that needs ``m`` more
-    restarts makes one ``gens[i].random((m, n))`` call, and each row's
-    d + 1 lowest-ranked points, in ascending index order, are a uniform
-    (d+1)-point start subset.  The paths of all clouds step in blocks of
+    restarts draws an ``(m, n)`` array of uniforms from ``gens[i]`` in one
+    call, and each row's d + 1 lowest-ranked points, in ascending index
+    order, are a uniform (d+1)-point start subset.  The paths of all clouds step in blocks of
     ``_BLOCK_POINTS // n`` paths (at least one), in order, and only each
     path's final log-determinant, fit and failure flag outlive its block.
     Only failed paths are redrawn, in the next round, so every generator

@@ -91,7 +91,8 @@ def gaussian_quantiles(mean: float, sigma: float, size: int = DEFAULT_GRID_SIZE)
     The standard normal quantiles, from the standard library's
     ``statistics.NormalDist().inv_cdf``, are computed for the lower half of
     the grid and mirrored, so the grid is antisymmetric about its center up to
-    the placement of ``mean``.
+    the placement of ``mean``.  A finite sigma whose grid overflows raises
+    :class:`InvalidInput` naming it.
     """
     if not is_real(mean):
         raise InvalidInput(f"mean must be a real number, got {mean!r}")
