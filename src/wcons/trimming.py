@@ -131,10 +131,10 @@ def _trim(d: np.ndarray, lam: np.ndarray, alpha: float) -> np.ndarray:
 
 class _Solved(dict):
     """The kept sets one call has solved, in the order solved: a kept
-    set's key maps to its first weights, its solve and ``d2``.  Each entry
-    stored, once per key, also writes its weights to the next row of
-    ``weights``, one matrix that doubles when full, so warm starts read
-    every solved set's weights without restacking them."""
+    set's key maps to ``(row, solve, d2)``, and that row of ``weights``
+    holds the weights the set was first reached with.  The rows live in
+    one matrix that doubles when full, so warm starts read every solved
+    set's weights without restacking them."""
 
     _rows = np.empty((0, 0))
 
@@ -142,15 +142,15 @@ class _Solved(dict):
     def weights(self) -> np.ndarray:
         return self._rows[:len(self)]
 
-    def __setitem__(self, key, entry):
-        lam_star, count = entry[0], len(self)
-        if count == 0:
+    def add(self, key: bytes, lam_star: np.ndarray, res, d2: np.ndarray):
+        row = len(self)
+        if row == 0:
             self._rows = np.empty((_SOLVED_ROWS, lam_star.size))
-        elif count == len(self._rows):
+        elif row == len(self._rows):
             self._rows = np.concatenate([self._rows,
                                          np.empty_like(self._rows)])
-        self._rows[count] = lam_star
-        super().__setitem__(key, entry)
+        self._rows[row] = lam_star
+        self[key] = (row, res, d2)
 
 
 def _warm_start(solved: _Solved, lam_star: np.ndarray) -> np.ndarray | None:
@@ -183,11 +183,12 @@ def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int,
         if key in visited:
             break
         if key not in solved:
-            solved[key] = (lam_star, *_barycenter(
+            solved.add(key, lam_star, *_barycenter(
                 ens, lam_star, _warm_start(solved, lam_star)))
-        lam_final, res, d2 = solved[key]
+        row, res, d2 = solved[key]
         visited[key] = res.variance
-    return res.bary, lam_final, res.variance, list(visited.values()), d2
+    return (res.bary, solved.weights[row].copy(), res.variance,
+            list(visited.values()), d2)
 
 
 def _trimmed_result(bary: LocScatter, d2: np.ndarray, lam_star: np.ndarray,

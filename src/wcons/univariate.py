@@ -106,7 +106,7 @@ def gaussian_quantiles(mean: float, sigma: float, size: int = DEFAULT_GRID_SIZE)
     z[size - half:] = -lower[::-1]
     if size % 2 == 1:
         z[half] = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         values = mean + sigma * z
     if not np.isfinite(values).all():
         raise InvalidInput(f"sigma = {sigma!r} overflows the quantile grid "

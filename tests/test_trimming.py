@@ -484,7 +484,7 @@ class TestWarmStarts:
         lam.update((f"far{j}", far) for j in range(trimming._SOLVED_ROWS))
         solved = trimming._Solved()
         for name in lam:
-            solved[name] = (lam[name], *trimming._barycenter(
+            solved.add(name, lam[name], *trimming._barycenter(
                 ens, lam[name], None, 1e-12, 1000))
         assert len(solved) > trimming._SOLVED_ROWS
         np.testing.assert_array_equal(solved.weights,
