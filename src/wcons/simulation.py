@@ -324,9 +324,10 @@ def _mcd_fits(clouds: np.ndarray, h: int, restarts: int,
     Starts are drawn in rounds: in each, a cloud that needs ``m`` more
     restarts draws an ``(m, n)`` array of uniforms from ``gens[i]`` in one
     call, and each row's d + 1 lowest-ranked points, in ascending index
-    order, are a uniform (d+1)-point start subset.  The paths of all clouds step in blocks of
-    ``_BLOCK_POINTS // n`` paths (at least one), in order, and only each
-    path's final log-determinant, fit and failure flag outlive its block.
+    order, are a uniform (d+1)-point start subset.  The paths of all
+    clouds step in blocks of ``_BLOCK_POINTS // n`` paths (at least one),
+    in order, and only each path's final log-determinant, fit and failure
+    flag outlive its block.
     Only failed paths are redrawn, in the next round, so every generator
     makes exactly the draws of a loop that draws ``gen.random(n)`` for one
     subset at a time; a cloud gives up after 10 * restarts attempts.  Each

@@ -731,8 +731,10 @@ class TestEstimateMcd:
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.cov.entries, b.cov.entries)
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("duplicated", [False, True])
+    @pytest.mark.parametrize("duplicated, dim", [
+        pytest.param(False, 2, id="False"), pytest.param(True, 2, id="True"),
+        pytest.param(False, 3, id="False-d3"),
+        pytest.param(True, 3, id="True-d3")])
     def test_generator_advances_as_one_draw_at_a_time(self, duplicated, dim):
         # Batched restarts must consume exactly the draws of the sequential
         # loop, redraws included, and pick the same winner.

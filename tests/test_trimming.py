@@ -137,19 +137,22 @@ class TestTrimWeights:
             assert out.tobytes() == trim_weights(reranked, w, 0.2).tobytes()
 
     def test_private_selection_is_trim_weights(self):
-        # Random distances, rounded ones (ties), alpha 0, and equal
-        # weights at alpha = j/k, whose boundary remainder covers its atom
-        # within the tolerance: the same bits either way.
+        # Random distances and rounded ones (ties); random weights, and
+        # equal weights at alpha = j/k (0 included), whose boundary
+        # remainder covers its atom within the tolerance: the same bits
+        # either way.
         gen = np.random.default_rng(73)
         for trial in range(300):
             k = int(gen.integers(1, 16))
-            w = gen.uniform(0.1, 1.0, size=k)
-            w = w / w.sum() if trial % 3 else np.full(k, 1.0 / k)
             d = gen.uniform(0.0, 10.0, size=k)
             if trial % 2:
                 d = np.round(d / 3.0)
-            alpha = (float(gen.integers(k)) / k if trial % 3 == 0
-                     else [0.0, 0.2, float(gen.uniform(0.0, 0.9))][trial % 3])
+            if trial % 3 == 0:
+                w, alpha = np.full(k, 1.0 / k), float(gen.integers(k)) / k
+            else:
+                w = gen.uniform(0.1, 1.0, size=k)
+                w = w / w.sum()
+                alpha = 0.2 if trial % 3 == 1 else float(gen.uniform(0, 0.9))
             expect = trim_weights(d, w, alpha)
             assert trimming._trim(d, w, alpha).tobytes() == expect.tobytes()
 
