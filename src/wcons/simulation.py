@@ -322,17 +322,18 @@ def _mcd_fits(clouds: np.ndarray, h: int, restarts: int,
     covariances ``(u, d, d)``, symmetrized as :class:`SymMatrix` does.
 
     Starts are drawn in rounds: in each, a cloud that needs ``m`` more
-    restarts draws an ``(m, n)`` array of uniforms from ``gens[i]`` in one
-    call, and each row's d + 1 lowest-ranked points, in ascending index
-    order, are a uniform (d+1)-point start subset.  The paths of all
-    clouds step in blocks of ``_BLOCK_POINTS // n`` paths (at least one),
-    in order, and only each path's final log-determinant, fit and failure
-    flag outlive its block.
-    Only failed paths are redrawn, in the next round, so every generator
-    makes exactly the draws of a loop that draws ``gen.random(n)`` for one
-    subset at a time; a cloud gives up after 10 * restarts attempts.  Each
-    block picks its winners in one array pass: the smallest final
-    log-determinant wins, the earliest completed restart winning ties.
+    restarts draws an ``(m, n)`` array of uniforms from ``gens[i]``, in one
+    call per block that holds its paths, and each row's d + 1
+    lowest-ranked points, in ascending index order, are a uniform
+    (d+1)-point start subset.  The paths of all clouds are drawn and step
+    in blocks of ``_BLOCK_POINTS // n`` paths (at least one), in order,
+    and only each path's final log-determinant, fit and failure flag
+    outlive its block.  Only failed paths are redrawn, in the next round,
+    so every generator makes exactly the draws of a loop that draws
+    ``gen.random(n)`` for one subset at a time; a cloud gives up after 10
+    * restarts attempts.  Each block picks its winners in one array pass:
+    the smallest final log-determinant wins, the earliest completed
+    restart winning ties.
     """
     u, n, d = clouds.shape
     check_count(h, "h", 1)
@@ -350,21 +351,26 @@ def _mcd_fits(clouds: np.ndarray, h: int, restarts: int,
         draws = np.minimum(needed[units], attempts[units])
         attempts[units] -= draws
         owners = np.repeat(units, draws)
-        # One uniform draw per point and start; a start is the d + 1
-        # lowest-ranked points of its row, in ascending index order.
-        ranks = np.empty((owners.size, n))
         ends = np.cumsum(draws)
-        for i, lo, hi in zip(units, ends - draws, ends):
-            gens[i].random(out=ranks[lo:hi])
-        subsets = np.sort(np.argpartition(ranks, d, axis=1)[:, :d + 1],
-                          axis=1)
-        mean0, cov0 = _ml_fit(clouds[owners[:, None], subsets])
+        starts = ends - draws
         for lo in range(0, owners.size, block):
+            hi = min(lo + block, owners.size)
             # Owners ascend, so a block's clouds are one slice.
-            own = owners[lo:lo + block]
+            own = owners[lo:hi]
+            # One uniform per point and start, from each unit's own stream
+            # (a unit split across blocks continues it in the next block);
+            # a start is the d + 1 lowest-ranked points of its row, in
+            # ascending index order.
+            ranks = np.empty((hi - lo, n))
+            for j in range(np.searchsorted(ends, lo, side="right"),
+                           np.searchsorted(starts, hi)):
+                gens[units[j]].random(
+                    out=ranks[max(starts[j], lo) - lo:min(ends[j], hi) - lo])
+            subsets = np.sort(np.argpartition(ranks, d, axis=1)[:, :d + 1],
+                              axis=1)
             means, covs, _, history, steps, failed = _c_step_paths(
                 clouds[own[0]:own[-1] + 1], own - own[0], h,
-                mean0[lo:lo + block], cov0[lo:lo + block])
+                *_ml_fit(clouds[own[:, None], subsets]))
             ok = np.flatnonzero(~failed)
             unit, logdet = own[ok], history[ok, steps[ok] - 1]
             # Each unit's first path in (unit, log-determinant, restart)
@@ -389,10 +395,11 @@ def estimate_mcd(points: np.ndarray, h: int, restarts: int,
 
     ``restarts`` random (d+1)-point subsets seed concentration paths; the
     final fit with the smallest determinant wins (ties keep the earliest
-    restart).  The starts of a round come from one ``gen.random((m, n))``
-    call, each row's d + 1 lowest-ranked points being a start, and only
-    singular starts are redrawn, in later rounds, giving up after 10 *
-    restarts attempts.  The paths step in blocks of about 10,000 points.
+    restart).  The ``m`` starts of a round come from an ``(m, n)`` array of
+    ``gen.random`` uniforms, one call per block of about 10,000 points,
+    each row's d + 1 lowest-ranked points being a start, and only singular
+    starts are redrawn, in later rounds, giving up after 10 * restarts
+    attempts.  The paths are drawn and step in the same blocks.
     No consistency correction is applied: the raw h-subset
     maximum-likelihood covariance is returned.
     """

@@ -818,6 +818,24 @@ class TestConcentrationBlocks:
                 tracemalloc.stop()
         assert peak <= 15 * 2 ** 20
 
+    def test_start_draws_are_bounded_by_the_block(self):
+        # 500 starts of 400 points: their uniforms drawn in one array
+        # peaked at 3.1 MiB of traced memory; drawn block by block, the
+        # stage peaks at 1.0 MiB, as the parent's one-subset draws did.
+        clouds = RngState(8).generator().standard_normal((100, 400, 2))
+        gens = [RngState(9).split(i).generator() for i in range(100)]
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _mcd_fits(clouds, 300, 5, gens)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
+
     def test_no_path_refits_the_support_it_just_had(self, monkeypatch):
         # A path whose new support equals its last one stops before the
         # refit, so every refit is a step that its path keeps.
