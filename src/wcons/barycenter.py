@@ -12,7 +12,7 @@ found by the fixed-point iteration
 which stays in the positive definite cone and converges from any positive
 definite start.  The weighted average of the member S_j is the default
 starting point; the trimming search starts each new kept set from the
-scatter of the nearest one it has solved.
+scatter of the last one it solved.
 
 The iteration converges linearly, so each plain step G(S) proposes a
 candidate in its place.  Off d = 2 it is the Newton iterate S + delta,

@@ -438,6 +438,12 @@ class HospitalConfig:
         if not (is_real(self.mcd_fraction) and 0.0 < self.mcd_fraction <= 1.0):
             raise InvalidInput("mcd_fraction must be a number in (0, 1], "
                                f"got {self.mcd_fraction!r}")
+        # The MCD subset needs d + 1 points; it has at most n.
+        h, least = round(self.mcd_fraction * self.n), self.inlier.dim + 1
+        if h < least:
+            raise InvalidInput(
+                f"round(mcd_fraction * n) must lie in [{least}, n], got {h} "
+                f"for mcd_fraction = {self.mcd_fraction!r} and n = {self.n!r}")
         check_alpha(self.alpha_trim, "alpha_trim")
         RngState(self.seed)  # rejects a seed that is not an integer
 
@@ -619,7 +625,9 @@ def consistency_harness(law, n_values, alpha: float, reps: int,
     for n in n_values:
         check_count(n, "ensemble size", 1)
     n_values = [int(n) for n in n_values]
-    if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
+    if not n_values:
+        raise InvalidInput("at least one ensemble size is needed")
+    if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise InvalidInput("ensemble sizes must be strictly ascending")
     check_count(reps, "reps", 1)
     base = RngState(seed)

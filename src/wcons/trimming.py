@@ -9,8 +9,8 @@ multistart guards against local minima.  Each solve also returns the
 squared distances from its barycenter to every atom, which drive the next
 trim, the variance and the radius.  The restarts of one call share their
 solves: a kept set (its kept atoms, and which it keeps whole) is solved
-once, and a new one starts from the barycenter scatter of the nearest
-solved one (a cold start for the call's first solve).  Warm starts move
+once, and a new one starts from the barycenter scatter of the call's last
+new solve (a cold start for the call's first solve).  Warm starts move
 the floats at the level of the solver's tolerance; the result still
 depends only on the ensemble and the config.  An exhaustive subset search
 is an independent oracle for small equal-weight ensembles.
@@ -45,8 +45,6 @@ __all__ = [
 _CUM_TOL = 1e-12
 # Cap on the concentration steps of one restart.
 OUTER_MAX_ITER = 100
-# Rows of a call's matrix of solved weights; it doubles when full.
-_SOLVED_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -129,50 +127,17 @@ def _trim(d: np.ndarray, lam: np.ndarray, alpha: float) -> np.ndarray:
     return kept / target
 
 
-class _Solved(dict):
-    """The kept sets one call has solved, in the order solved: a kept
-    set's key maps to ``(row, solve, d2)``, and that row of ``weights``
-    holds the weights the set was first reached with.  The rows live in
-    one matrix that doubles when full, so warm starts read every solved
-    set's weights without restacking them."""
-
-    _rows = np.empty((0, 0))
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._rows[:len(self)]
-
-    def add(self, key: bytes, lam_star: np.ndarray, res, d2: np.ndarray):
-        row = len(self)
-        if row == 0:
-            self._rows = np.empty((_SOLVED_ROWS, lam_star.size))
-        elif row == len(self._rows):
-            self._rows = np.concatenate([self._rows,
-                                         np.empty_like(self._rows)])
-        self._rows[row] = lam_star
-        self[key] = (row, res, d2)
-
-
-def _warm_start(solved: _Solved, lam_star: np.ndarray) -> np.ndarray | None:
-    """Start for the solve of ``lam_star``: the scatter of the solved kept
-    set whose stored weights lie nearest to it in L1 distance, ties to the
-    earliest solved.  ``None`` (a cold start) for the call's first solve."""
-    if not solved:
-        return None
-    gaps = np.abs(solved.weights - lam_star).sum(axis=1)
-    return list(solved.values())[int(np.argmin(gaps))][1].bary.cov.entries
-
-
 def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int,
-                  solved: _Solved):
+                  solved: dict):
     """One multistart path: (bary, weights, variance, history, d2), with
     ``d2`` the squared distances from ``bary`` to every atom.  ``solved``
-    holds the call's solved kept sets; the path reuses them, adds its
-    solves, warm-started, and ends at its first revisited key, on its last
-    solve.  Each trim reads the last solve's distances; only the start's
-    are computed here.  The ensemble's weights are positive, the config's
-    alpha valid and the distances finite, so the trims skip the checks of
-    :func:`trim_weights`."""
+    maps a kept set's key to its first weights, solve and ``d2``, in the
+    order solved; the path reuses entries, adds its solves, each started
+    from the scatter of the call's last new solve, and ends at its first
+    revisited key, on its last solve.  Each trim reads the last solve's
+    distances; only the start's are computed here.  The ensemble's weights
+    are positive, the config's alpha valid and the distances finite, so
+    the trims skip the checks of :func:`trim_weights`."""
     gen = RngState(cfg.seed).split(index).generator()
     d2 = ens._distances_sq(ens.members[int(gen.integers(ens.size))])
     whole = ens.weights / (1.0 - cfg.alpha)
@@ -183,12 +148,12 @@ def _restart_path(ens: WeightedEnsemble, cfg: TrimConfig, index: int,
         if key in visited:
             break
         if key not in solved:
-            solved.add(key, lam_star, *_barycenter(
-                ens, lam_star, _warm_start(solved, lam_star)))
-        row, res, d2 = solved[key]
+            last = next(reversed(solved.values()), None)
+            start = None if last is None else last[1].bary.cov.entries
+            solved[key] = (lam_star, *_barycenter(ens, lam_star, start))
+        kept, res, d2 = solved[key]
         visited[key] = res.variance
-    return (res.bary, solved.weights[row].copy(), res.variance,
-            list(visited.values()), d2)
+    return res.bary, kept, res.variance, list(visited.values()), d2
 
 
 def _trimmed_result(bary: LocScatter, d2: np.ndarray, lam_star: np.ndarray,
@@ -216,10 +181,10 @@ def trimmed_barycenter(ens: WeightedEnsemble, cfg: TrimConfig) -> TrimmedResult:
     variance wins; ties go to the lowest restart index.  Restarts run in
     order and share their inner solves, so a kept set reached by several
     restarts is solved once per call, reporting the weights it was first
-    reached with, and each new solve starts from the nearest solved set;
-    results depend only on the ensemble and the config.
+    reached with, and each new solve starts from the scatter of the call's
+    last new solve; results depend only on the ensemble and the config.
     """
-    solved = _Solved()
+    solved: dict = {}
     paths = [_restart_path(ens, cfg, r, solved) for r in range(cfg.restarts)]
     finals = [p[2] for p in paths]
     best = min(range(cfg.restarts), key=finals.__getitem__)

@@ -457,6 +457,24 @@ class TestSimulate:
             "error: --n must be comma-separated integers: '8,x'\n")
         assert not out.exists()
 
+    def test_consistency_needs_a_size(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        code = run_command(["simulate", "consistency", "--n", "",
+                            "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: at least one ensemble size is needed\n")
+        assert not out.exists()
+
+    def test_hospitals_mcd_subset_names_its_flags(self, capsys):
+        # It used to name h = 2, which is no flag.
+        code = run_command(["simulate", "hospitals", "--n", "2"])
+        assert code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: round(mcd_fraction * n) must lie in "
+                           "[3, n], got 2 for mcd_fraction = 0.8 and n = 2\n")
+
 
 class TestExitCodes:
     def test_unknown_command(self, capsys):

@@ -85,6 +85,15 @@ fixed point's iteration count went from 23 to 6 and its residual, the
 solve's own measure of its distance from the fixed point, from 2.0e-13
 to 1.7e-13.  Every other digest did not move.
 
+The law trim and harness digests were re-pinned once more when each new
+kept set of a trimming call began starting from the scatter of the call's
+last new solve instead of the nearest solved set: against commit ebf0ad4
+the law trim scatter moved by 8.6e-17 and its variance history by 1.2e-15
+relative to their largest entries, the harness reference scatter by
+4.5e-13, its radius by 1.3e-13 and the harness rows by 3.3e-15 (9.4e-13
+entry by entry), and every kept-weight vector, restart index and
+outer-iteration count stayed equal.  Every other digest did not move.
+
 Every digest here was computed with numpy 2.4.6 on OpenBLAS 0.3.31
 (scipy-openblas, Python 3.11); another BLAS build can round differently.
 """
@@ -199,9 +208,11 @@ def test_trimmed_law_ensemble_is_pinned():
     # and the variance history 1.5e-15 relative.
     # Variance-stall stop: 878bca4b...e3769590f4; outer iterations 6 to 5,
     # kept weights moved 1.1e-13 and scatter 1.3e-15 relative.
+    # Nearest-set warm starts: 1f84394d...dc4e35c2; scatter moved 8.6e-17
+    # and the variance history 1.2e-15 relative.
     assert law_trim_digest() == (
-        "1f84394d0c5b360dc3069a61249ced8e"
-        "83dea7083b8b41803473b7b8dc4e35c2")
+        "4a2408ea4027a9024048fc7b86ce7323"
+        "7dc7a97063aecc655608178fd129fad4")
 
 
 def test_ill_conditioned_barycenters_are_pinned():
@@ -249,9 +260,11 @@ def test_consistency_harness_is_pinned():
     # 3.4e-16 and rows 1.9e-15 relative (4.7e-15 entry by entry).
     # Planar step on arrays: 75571bb8...acc9460ec; reference scatter moved
     # 4.6e-16 and rows 5.7e-15 relative (1.8e-14 entry by entry).
+    # Nearest-set warm starts: a82b30f5...85ed913a; reference scatter
+    # moved 4.5e-13 and rows 3.3e-15 relative (9.4e-13 entry by entry).
     assert harness_digest() == (
-        "a82b30f5c35237172cf82cb93ff2d105"
-        "4fc7aa9c787a5ec4a4b8018e85ed913a")
+        "ed04ca74f12f251824f588da8ce7b175"
+        "3d9df5f1ec45106b8a95efcae3210dd5")
 
 
 def test_general_dimension_draws_are_pinned():

@@ -1128,6 +1128,17 @@ class TestHospitalExperiment:
         with pytest.raises(InvalidInput):
             HospitalConfig(alpha_trim=1.0)
 
+    @pytest.mark.parametrize("n, fraction, h", [(2, 0.8, 2), (3, 0.5, 2),
+                                                (1, 1.0, 1)])
+    def test_mcd_subset_size_must_be_feasible(self, n, fraction, h):
+        # The MCD subset round(mcd_fraction * n) needs d + 1 = 3 points; it
+        # used to fail only in the first fit, naming an h no caller sets.
+        with pytest.raises(InvalidInput, match=(
+                rf"round\(mcd_fraction \* n\) must lie in \[3, n\], got {h} "
+                rf"for mcd_fraction = {fraction!r} and n = {n}$")):
+            HospitalConfig(n=n, mcd_fraction=fraction)
+        assert HospitalConfig(n=4, mcd_fraction=0.75).n == 4
+
     @pytest.mark.parametrize("seed", [0.9, "x", float("nan"), True, False])
     def test_seed_must_be_an_integer(self, seed):
         with pytest.raises(InvalidInput, match="seed must be an integer"):
@@ -1176,6 +1187,13 @@ class TestConsistencyHarness:
             consistency_harness(law, [], alpha=0.2, reps=3, seed=4)
         with pytest.raises(InvalidInput):
             consistency_harness(law, [10, 20], alpha=0.2, reps=0, seed=4)
+
+    def test_at_least_one_size(self):
+        # An empty list used to be called not strictly ascending.
+        with pytest.raises(InvalidInput,
+                           match="^at least one ensemble size is needed$"):
+            consistency_harness(gaussian_parameter_law(), [], alpha=0.2,
+                                reps=3, seed=4)
 
     def test_parameter_law_draws_valid_members(self):
         law = gaussian_parameter_law(dim=3, mean_scale=0.5, condition_cap=9.0)

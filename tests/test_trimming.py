@@ -336,9 +336,11 @@ def cold_trimmed_barycenter(ens, cfg, monkeypatch):
     """Every restart solves its kept sets afresh and from the weighted mean
     of the kept scatters; otherwise the same selection and packaging as
     ``trimmed_barycenter``."""
+    solve = trimming._barycenter
     with monkeypatch.context() as m:
-        m.setattr(trimming, "_warm_start", lambda *args: None)
-        paths = [trimming._restart_path(ens, cfg, r, trimming._Solved())
+        m.setattr(trimming, "_barycenter",
+                  lambda ens, lam, start: solve(ens, lam))
+        paths = [trimming._restart_path(ens, cfg, r, {})
                  for r in range(cfg.restarts)]
     finals = [p[2] for p in paths]
     best = min(range(cfg.restarts), key=finals.__getitem__)
@@ -366,8 +368,8 @@ class TestSharedSolves:
         ens = far_outlier_ensemble(80, 20, 2)
         cfg = TrimConfig(alpha=0.2, restarts=10, seed=3)
         # One solve per outer step that does not stop on a revisited set.
-        outer_steps = sum(len(trimming._restart_path(
-            ens, cfg, r, trimming._Solved())[3]) for r in range(cfg.restarts))
+        outer_steps = sum(len(trimming._restart_path(ens, cfg, r, {})[3])
+                          for r in range(cfg.restarts))
         # A solve is identified by its kept set: the atoms it keeps and
         # which of them it keeps whole.
         whole = ens.weights / (1.0 - cfg.alpha)
@@ -476,36 +478,35 @@ class TestSharedSolves:
 
 
 class TestWarmStarts:
-    def test_nearest_solved_set_ties_to_the_earliest(self):
+    def test_new_solve_starts_from_the_last_new_solve(self, monkeypatch):
+        # Trims forced to A, B, A in restart 0 and A, C, C in restart 1: A
+        # starts cold, B from A, and C from B, the call's last new solve,
+        # not from A, the set restart 1 reused just before it.
         ens = far_outlier_ensemble(82, 4, 3)
-        lam = {"a": np.array([0.5, 0.5, 0.0, 0.0]),
-               "b": np.array([0.0, 0.5, 0.5, 0.0]),
-               "c": np.array([0.5, 0.0, 0.5, 0.0])}
-        # Sets that keep atom 3, farther from both targets below than a,
-        # b and c, fill the weight matrix past its first size.
-        far = np.array([0.5, 0.0, 0.0, 0.5])
-        lam.update((f"far{j}", far) for j in range(trimming._SOLVED_ROWS))
-        solved = trimming._Solved()
-        for name in lam:
-            solved.add(name, lam[name], *trimming._barycenter(
-                ens, lam[name], None, 1e-12, 1000))
-        assert len(solved) > trimming._SOLVED_ROWS
-        np.testing.assert_array_equal(solved.weights,
-                                      np.stack(list(lam.values())))
-        starts = [res.bary.cov.entries for _, res, _ in solved.values()]
-        # [0.5, 0.25, 0.25, 0] lies at L1 distance 0.5 from each of a, b
-        # and c: the first solved wins.
-        target = np.array([0.5, 0.25, 0.25, 0.0])
-        got = trimming._warm_start(solved, target)
-        assert got is starts[0]
-        target = np.array([0.0, 0.4, 0.6, 0.0])
-        got = trimming._warm_start(solved, target)
-        assert got is starts[1]
-        # No earlier solve: a cold start.
-        assert trimming._warm_start({}, target) is None
+        a = np.array([0.5, 0.5, 0.0, 0.0])
+        b = np.array([0.0, 0.5, 0.5, 0.0])
+        c = np.array([0.5, 0.0, 0.5, 0.0])
+        trims = iter([a, b, a, a, c, c])
+        monkeypatch.setattr(trimming, "_trim",
+                            lambda *args: next(trims).copy())
+        starts, scatters = [], []
+        solve = trimming._barycenter
+
+        def recording(ens, lam, start):
+            res = solve(ens, lam, start)
+            starts.append(start)
+            scatters.append(res[0].bary.cov.entries)
+            return res
+
+        monkeypatch.setattr(trimming, "_barycenter", recording)
+        trimmed_barycenter(ens, TrimConfig(alpha=0.5, restarts=2))
+        assert len(starts) == 3
+        assert starts[0] is None
+        assert starts[1] is scatters[0]
+        assert starts[2] is scatters[1]
         # One kept atom starts at its own scatter whatever the warm start.
-        lone, _ = trimming._barycenter(ens, np.array([0.0, 0.0, 1.0, 0.0]),
-                                       starts[0], 1e-12, 1000)
+        lone, _ = solve(ens, np.array([0.0, 0.0, 1.0, 0.0]), scatters[0],
+                        1e-12, 1000)
         assert lone.iterations == 0
         assert (lone.bary.cov.entries.tobytes()
                 == ens.members[2].cov.entries.tobytes())
@@ -515,7 +516,7 @@ class TestWarmStarts:
         # Each restart keeps one atom at weight exactly 1, and later
         # restarts find earlier solves in the shared dict.
         cfg = TrimConfig(alpha=0.75, restarts=8, seed=4)
-        solved = trimming._Solved()
+        solved = {}
         paths = [trimming._restart_path(ens, cfg, r, solved)
                  for r in range(cfg.restarts)]
         assert len({int(np.flatnonzero(p[1])[0]) for p in paths}) > 1
@@ -562,11 +563,9 @@ class TestWarmStarts:
         assert (res.bary.cov.entries.tobytes()
                 == ens.members[i].cov.entries.tobytes())
 
-    def test_wide_grid_inner_step_count(self, monkeypatch):
-        # Summed inner steps of one trimmed call per ensemble of the
-        # wide-consensus grid.  Warm starts and Newton steps take 201; with
-        # Anderson mixing alone, warm starts and a history of 8 took 760,
-        # cold starts 881 with a history of 8 and 957 with 4.
+    @staticmethod
+    def inner_steps(ensembles, monkeypatch):
+        # Summed inner steps of one trimmed call per ensemble.
         steps = []
         solve = trimming._barycenter
 
@@ -576,10 +575,27 @@ class TestWarmStarts:
             return res
 
         monkeypatch.setattr(trimming, "_barycenter", counting)
-        for ens in wide_grid():
+        for ens in ensembles:
             trimmed_barycenter(ens, TrimConfig(alpha=0.2, restarts=3,
                                                seed=ens.dim + ens.size))
-        assert sum(steps) <= 201
+        return sum(steps)
+
+    def test_wide_grid_inner_step_count(self, monkeypatch):
+        # The wide-consensus grid.  Starts from the last new solve and
+        # Newton steps take 201, as did starts from the nearest solved set;
+        # cold starts take 246.  With Anderson mixing alone, warm starts
+        # and a history of 8 took 760, cold starts 881 with a history of 8
+        # and 957 with 4.
+        assert self.inner_steps(wide_grid(), monkeypatch) <= 201
+
+    def test_planar_grid_inner_step_count(self, monkeypatch):
+        # The wide-consensus recipe at d = 2 with k = 20, 60 and 200.
+        # Starts from the last new solve take 260, starts from the nearest
+        # solved set 252 and cold starts 264.
+        grid = (far_outlier_ensemble([2, k, exponent], k, 2, 10.0 ** exponent,
+                                     every=8)
+                for k in (20, 60, 200) for exponent in (2, 4, 6))
+        assert self.inner_steps(grid, monkeypatch) <= 260
 
 
 class TestBallProperty:

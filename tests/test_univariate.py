@@ -115,6 +115,15 @@ class TestGaussianQuantiles:
             with pytest.raises(InvalidInput, match="sigma = "):
                 gaussian_quantiles(mean, sigma)
 
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_non_finite_mean_names_the_mean(self, mean):
+        # It used to reach the grid check, which blamed sigma.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="^mean must be a finite real number"):
+                gaussian_quantiles(mean, 1.0)
+
     def test_largest_finite_grid(self):
         # |z| < 3.7 on the default grid, so 1e307 still fits.
         with warnings.catch_warnings():
