@@ -26,9 +26,9 @@ the combination of the last ``ANDERSON_DEPTH`` steps (at most d (d + 1) /
 solved through its small Gram system, on a history kept from step 0.
 Every candidate must be certified positive definite; when it is not, or a
 zero denominator or singular system gives none or a non-finite one, the
-plain step is taken and the history is cleared.  The stopping rule is
-checked on the plain step taken from the certified iterate, so a returned
-scatter satisfies the same certificate as one from the plain iteration.
+plain step is taken and the history is cleared.  The one stopping test:
+the first equation's relative residual at the certified iterate, its
+Riemannian gradient norm (Chewi et al., arXiv:2001.01700), is <= tol.
 
 One loop runs this in every dimension; only the iterate's arithmetic
 depends on d, and it is chosen once.  Off d = 2 the iterate is a (d, d)
@@ -429,25 +429,29 @@ def _barycenter(ens: WeightedEnsemble, lam: np.ndarray,
     last = cert = None
     for step in range(max_iter + 1):
         if cert is None:
-            cert = rep.certify(s)
+            try:
+                cert = rep.certify(s)
+            except NotPositiveDefinite as err:
+                raise ArithmeticError(f"scatter iteration lost positive "
+                                      f"definiteness at step {step}: {err}")
         mixed, s_next = rep.step(s, cert)
         norm_s = rep.norm(s)
         residual = float(rep.norm(rep.sub(mixed, s)) / norm_s)
-        f = rep.sub(s_next, s)
-        change = rep.norm(f) / norm_s
-        if single or (change < tol and residual <= 10.0 * tol):
+        if single or residual <= tol:
             bary = LocScatter(lam_k @ means, rep.certified(s, cert))
             d2 = ens._distances_sq(bary)
             return BarycenterResult(
                 bary=bary, iterations=step, residual=residual,
                 variance=float(lam_k @ d2[kept])), d2
+        f = rep.sub(s_next, s)
         if last is not None:
             history[pairs % depth] = (rep.sub(s_next, last[0]),
                                       rep.sub(f, last[1]))
             pairs += 1
         last = s_next, f
         s, cert = s_next, None
-        cand = rep.extrapolate(s_next, f, history[:min(pairs, depth)], change)
+        cand = rep.extrapolate(s_next, f, history[:min(pairs, depth)],
+                               rep.norm(f) / norm_s)
         if cand is not None:
             try:
                 s, cert = cand, rep.certify(cand)
@@ -458,8 +462,8 @@ def _barycenter(ens: WeightedEnsemble, lam: np.ndarray,
             # history again from it.
             pairs = 0
     raise MaxIterationsExceeded(
-        f"scatter iteration did not converge in {max_iter} steps "
-        f"(residual {residual:.3e})",
+        f"scatter iteration did not reach relative residual {tol:.3e} "
+        f"in {max_iter} steps (residual {residual:.3e})",
         last_iterate=rep.matrix(s), residual=residual)
 
 
@@ -468,15 +472,15 @@ def fixed_point_barycenter(ens: WeightedEnsemble, tol: float = DEFAULT_TOL,
     """Barycenter of the ensemble with convergence diagnostics.
 
     Runs the accelerated scatter iteration (see the module docstring)
-    until the plain step taken from the current iterate changes
-    the scatter by less than ``tol`` in relative Frobenius norm and the
-    relative residual of the fixed-point condition is at most ``10 * tol``;
-    the returned scatter is that certified iterate.  Raises
-    :class:`MaxIterationsExceeded` when ``max_iter`` steps do not get
-    there; a one-member ensemble returns its member at step 0.
-    ``tol`` must be finite and positive and ``max_iter`` nonnegative.
-    The reported variance is the weighted sum of squared distances from
-    the members to the barycenter.
+    until the relative residual of the fixed-point condition at the
+    certified iterate is at most ``tol`` in Frobenius norm, and returns
+    that iterate; a one-member ensemble returns its member at step 0.
+    Raises :class:`MaxIterationsExceeded` when ``max_iter`` steps do not
+    get there, and ``ArithmeticError`` naming the step when round-off
+    takes an iterate out of the positive definite cone.  ``tol`` must be
+    finite and positive and ``max_iter`` nonnegative.  The reported
+    variance is the weighted sum of squared distances from the members to
+    the barycenter.
     """
     check_positive(tol, "tol")
     check_count(max_iter, "max_iter", 0)

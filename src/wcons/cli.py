@@ -200,9 +200,12 @@ def cmd_bary1d(args):
     else:
         weights = np.asarray(_list(args.weights, "--weights", float))
     bary = quantile_barycenter(weights, grids)
-    print(f"mean = {bary.mean():.6g}")
-    print(f"variance = {bary.variance():.6g}")
-    print(f"ensemble_variance = {variance_1d(weights, grids, bary):.6g}")
+    # All three figures first, so an overflow prints no partial summary.
+    mean, var = bary.mean(), bary.variance()
+    ens_var = variance_1d(weights, grids, bary)
+    print(f"mean = {mean:.6g}")
+    print(f"variance = {var:.6g}")
+    print(f"ensemble_variance = {ens_var:.6g}")
     if args.out:
         write_quantile_grid(args.out, bary)
     return 0

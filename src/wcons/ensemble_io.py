@@ -95,7 +95,8 @@ def _parse_entry(index: int, obj) -> tuple[float, LocScatter, str | None]:
                    f"dimension {mean.shape[0]}")
     if not np.all(np.isfinite(cov)):
         raise _entry_error(index, "cov must be finite")
-    skew = np.abs(cov - cov.T).max()
+    with np.errstate(over="ignore"):  # only opposite signs overflow
+        skew = np.abs(cov - cov.T).max()
     if skew > _SYM_TOL * max(1.0, np.abs(cov).max()):
         raise _entry_error(index, f"cov is asymmetric (max skew {skew:.3g})")
     try:

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, check_positive
-from .spd import SpdMatrix, certify_spd, check_same_dim
+from .spd import (SpdMatrix, SymMatrix, _rebuild, certify_spd,
+                  check_same_dim, sym_eigen)
 
 __all__ = [
     "LocScatter",
@@ -211,8 +212,10 @@ def optimal_map(p: LocScatter, q: LocScatter) -> AffineMap:
     check_same_dim(p.dim, q.dim)
     root = p.cov.sqrt()
     inv_root = p.cov.inv_sqrt()
-    mid = certify_spd(root @ q.cov.entries @ root)
-    a = inv_root @ mid.sqrt() @ inv_root
+    # S_P^{1/2} S_Q S_P^{1/2} carries the square of the members' scale, so
+    # only the scale-free A is certified; round-off below 0 roots to 0.
+    w, v = sym_eigen(SymMatrix(root @ q.cov.entries @ root))
+    a = inv_root @ _rebuild(v, np.sqrt(np.maximum(w, 0.0))) @ inv_root
     return AffineMap(matrix=certify_spd(a),
                      source_mean=p.mean.copy(),
                      target_mean=q.mean.copy())

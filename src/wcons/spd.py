@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 
+_SYM_OVERFLOW = "symmetrization overflows: A + A^T is not finite"
+
 # LAPACK's dlamch('E') and dlamch('S'): the split test of dsteqr.
 _EPS = 2.0 ** -53
 _SAFMIN = 2.0 ** -1022
@@ -49,7 +51,8 @@ class SymMatrix:
 
     The input is symmetrized on construction, ``0.5 * (A + A.T)``, which is
     bitwise symmetric because float addition commutes.  Entries are stored
-    read-only.
+    read-only.  Finite entries whose sum ``A + A.T`` overflows raise
+    :class:`InvalidInput`.
     """
 
     entries: np.ndarray
@@ -61,7 +64,10 @@ class SymMatrix:
             raise InvalidInput("matrix entries must be numeric") from None
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
-        s = np.add(a, a.T, order="C")
+        with np.errstate(over="ignore"):
+            s = np.add(a, a.T, order="C")
+        if not np.isfinite(s).all() and np.isfinite(a).all():
+            raise InvalidInput(_SYM_OVERFLOW)
         s *= 0.5
         s.setflags(write=False)
         object.__setattr__(self, "entries", s)
@@ -258,7 +264,14 @@ def certify_spd(m: SymMatrix | np.ndarray) -> SpdMatrix:
         # entries it changes no bit.
         a00, a01, a10, a11 = a.ravel().tolist()
         s = ((a00 + a00) * 0.5, (a01 + a10) * 0.5, (a11 + a11) * 0.5)
-        return _planar_spd(s, _certify_planar(*s))
+        try:
+            return _planar_spd(s, _certify_planar(*s))
+        except InvalidInput:
+            # Only a non-finite s reaches InvalidInput; from finite entries
+            # that is an overflow of the sums.
+            if np.isfinite(a).all():
+                raise InvalidInput(_SYM_OVERFLOW) from None
+            raise
     if not isinstance(m, SymMatrix):
         m = SymMatrix(a)
     w, v = sym_eigen(m)

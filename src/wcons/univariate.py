@@ -3,10 +3,13 @@
 On the line the 2-Wasserstein distance is the L2 distance between quantile
 functions, and the barycenter is the weighted pointwise average of quantile
 functions.  Both are evaluated on a midpoint grid t_i = (i - 1/2) / N.
+Grids hold any finite values; a closed form whose value overflows raises
+``ArithmeticError`` (a solver failure, CLI exit 2) and prints no warning.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -26,6 +29,16 @@ __all__ = [
 DEFAULT_GRID_SIZE = 4096
 
 
+def _finite(what: str, compute) -> float:
+    """``compute()`` as a float, evaluated without overflow warnings;
+    ``ArithmeticError`` naming ``what`` when it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(compute())
+    if not math.isfinite(value):
+        raise ArithmeticError(f"{what} overflows")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class QuantileGrid:
     """Quantile function sampled at the N midpoints (i - 1/2) / N."""
@@ -38,7 +51,7 @@ class QuantileGrid:
             raise InvalidInput("quantile grid needs at least two values")
         if not np.all(np.isfinite(v)):
             raise InvalidInput("quantile grid has non-finite values")
-        if np.any(np.diff(v) < 0.0):
+        if np.any(v[1:] < v[:-1]):
             raise InvalidInput("quantile values must be nondecreasing")
         v = v.copy()
         v.setflags(write=False)
@@ -49,10 +62,10 @@ class QuantileGrid:
         return self.values.shape[0]
 
     def mean(self) -> float:
-        return float(self.values.mean())
+        return _finite("quantile grid mean", self.values.mean)
 
     def variance(self) -> float:
-        return float(self.values.var())
+        return _finite("quantile grid variance", self.values.var)
 
 
 def _check_sizes(grids: list[QuantileGrid]) -> int:
@@ -65,8 +78,11 @@ def _check_sizes(grids: list[QuantileGrid]) -> int:
 def w2_distance_1d(f: QuantileGrid, g: QuantileGrid) -> float:
     """Squared 2-Wasserstein distance, midpoint rule on (0, 1)."""
     _check_sizes([f, g])
-    diff = f.values - g.values
-    return float(diff @ diff) / f.size
+
+    def squared():
+        diff = f.values - g.values
+        return float(diff @ diff) / f.size
+    return _finite("squared 1-D distance", squared)
 
 
 def quantile_barycenter(weights, grids) -> QuantileGrid:
@@ -75,7 +91,11 @@ def quantile_barycenter(weights, grids) -> QuantileGrid:
     lam = check_weights(weights, len(grids))
     _check_sizes(grids)
     stacked = np.stack([g.values for g in grids])
-    return QuantileGrid(lam @ stacked)
+    with np.errstate(over="ignore"):
+        values = lam @ stacked
+    if not np.isfinite(values).all():
+        raise ArithmeticError("quantile barycenter overflows")
+    return QuantileGrid(values)
 
 
 def variance_1d(weights, grids, bary: QuantileGrid) -> float:

@@ -64,14 +64,11 @@ def plain_barycenter(ens, tol=1e-12, max_iter=1000):
                                          lam, _planar_stack(covs))
             norm_s = math.hypot(a, b, b, c)
             residual = planar_gap(mixed, (a, b, c), norm_s)
-            change = planar_gap(s_next, (a, b, c), norm_s)
             s_next = as_matrix(s_next)
         else:
             mixed, s_next, _ = _scatter_step(spd, covs, lam)
-            norm_s = np.linalg.norm(s)
-            residual = np.linalg.norm(mixed - s) / norm_s
-            change = np.linalg.norm(s_next - s) / norm_s
-        if change < tol and residual <= 10.0 * tol:
+            residual = np.linalg.norm(mixed - s) / np.linalg.norm(s)
+        if residual <= tol:
             bary = LocScatter(lam @ means, spd)
             return BarycenterResult(
                 bary=bary, iterations=step, residual=float(residual),
@@ -159,9 +156,10 @@ class TestFixedPointBarycenter:
         assert res.variance <= 1e-12
 
     def test_ill_conditioned_single_member_is_returned(self):
-        # Condition 1e6 at d = 8: the round-off of the plain step keeps its
-        # relative change above tol, so iterating would never stop.  A lone
-        # member is its own barycenter and comes back at step 0.
+        # Condition 1e6 at d = 8: round-off keeps the residual of the
+        # member's own scatter at 2.0e-12, above tol, so iterating would
+        # never stop.  A lone member is its own barycenter and comes back
+        # at step 0.
         ens = random_ensemble(np.random.default_rng(91), 4, 8,
                               condition_cap=1e6, equal=True)
         p = ens.members[3]
@@ -327,6 +325,22 @@ class TestFixedPointBarycenter:
         np.testing.assert_array_equal(last, last.T)
         assert type(err.value.residual) is float
 
+    @pytest.mark.parametrize("key", [[8, 2, 10, 0, 99], [16, 2, 10, 0, 99],
+                                     [16, 2, 10, 1, 99], [16, 2, 10, 2, 99],
+                                     [16, 5, 10, 3, 99]])
+    def test_lost_positivity_is_a_solver_failure(self, key):
+        # Round-off takes a plain iterate of these condition-1e10 members
+        # out of the cone (at d = 8, smallest eigenvalue -3.6e-6 against a
+        # largest of 3.6e4).  The members are valid, so this is a solver
+        # failure naming the step, not NotPositiveDefinite.
+        dim, k = key[:2]
+        ens = random_ensemble(np.random.default_rng(key), k, dim,
+                              condition_cap=1e10)
+        with pytest.raises(ArithmeticError,
+                           match=r"lost positive definiteness at step \d+: "
+                                 r"smallest eigenvalue -"):
+            fixed_point_barycenter(ens)
+
     def test_bad_budgets_rejected(self):
         ens = sigma_trio()
         for kwargs in ({"max_iter": -1}, {"tol": 0.0}, {"tol": -1e-12},
@@ -355,10 +369,8 @@ class TestFixedPointBarycenter:
 class TestAndersonAcceleration:
     def test_agrees_with_plain_iteration_in_fewer_steps(self):
         # Near tol both iterations can wander at the rounding floor of the
-        # relative change for a step or two; on a wider probe of 549
-        # converged ensembles one case took 22 accelerated steps against
-        # 20 plain ones.  Per case that much slack is allowed, while the
-        # grid as a whole must take at most half the plain steps.
+        # residual for a step or two.  Per case that much slack is allowed,
+        # while the grid as a whole must take at most half the plain steps.
         slack = 2
         plain_steps = fast_steps = 0
         covered = set()
@@ -369,12 +381,12 @@ class TestAndersonAcceleration:
                     ens = random_ensemble(gen, k, dim,
                                           condition_cap=10.0 ** exponent)
                     try:
-                        # Converged grid cases take at most 177 plain
+                        # Converged grid cases take at most 169 plain
                         # steps; the rest stall at the rounding floor.
                         ref = plain_barycenter(ens, max_iter=400)
                     except MaxIterationsExceeded:
-                        # The plain relative change floors above tol at
-                        # the highest caps; there is nothing to compare.
+                        # The plain residual floors above tol on the
+                        # k = 2, cap 1e8 cases; there is nothing to compare.
                         continue
                     res = fixed_point_barycenter(ens)
                     assert_same_barycenter(res, ref)
@@ -405,6 +417,23 @@ class TestAndersonAcceleration:
             np.random.default_rng(seed), 20, dim, condition_cap=cap))
             .iterations for seed in range(12))
         assert steps <= bound
+
+    def test_stall_table_raises_only_above_tol(self):
+        # The whole stall table: twelve seeds of twenty members in each of
+        # its five rows.  A solve whose residual reaches tol returns, so
+        # the only raise left (d = 5, cap 1e10, seed 5) ends above it.
+        raised = []
+        for dim, cap in ((16, 1e8), (8, 1e8), (5, 1e10), (5, 1e8),
+                         (16, 1e6)):
+            for seed in range(12):
+                ens = random_ensemble(np.random.default_rng(seed), 20, dim,
+                                      condition_cap=cap)
+                try:
+                    assert fixed_point_barycenter(ens).residual <= 1e-12
+                except MaxIterationsExceeded as err:
+                    raised.append(err.residual)
+        assert len(raised) <= 1
+        assert all(r > 1e-12 for r in raised)
 
     def test_rejected_candidate_falls_back_to_plain_step(self, monkeypatch):
         # The first Newton candidate is refused; the next iterate certified
@@ -443,9 +472,11 @@ class TestAndersonAcceleration:
 
     def test_singular_gram_takes_plain_step(self, monkeypatch):
         # In one dimension the iteration reaches its fixed point in one
-        # step; with a tolerance no relative change can beat, it then
-        # repeats the same residual, so the 1 x 1 Gram matrix of residual
-        # differences is exactly zero.
+        # step.  For sigma 0.2 and 2 the residual there floors at 1.8e-16,
+        # above a tolerance of 1e-300, while the plain step repeats the
+        # same iterate, so the 1 x 1 Gram matrix of residual differences
+        # is exactly zero.  (The residual of ``sigma_trio`` there is exactly
+        # 0, which meets any tolerance.)
         solve = np.linalg.solve
         singular = []
 
@@ -457,11 +488,13 @@ class TestAndersonAcceleration:
                 raise
 
         monkeypatch.setattr(np.linalg, "solve", watch)
+        ens = WeightedEnsemble.equal_weights(
+            (gauss_1d(0.0, 0.2), gauss_1d(0.0, 2.0)))
         with pytest.raises(MaxIterationsExceeded) as err:
-            fixed_point_barycenter(sigma_trio(), tol=1e-300, max_iter=12)
+            fixed_point_barycenter(ens, tol=1e-300, max_iter=12)
         assert singular and all(shape == (1, 1) for shape in singular)
-        assert err.value.last_iterate[0, 0] == pytest.approx(
-            (16.0 / 15.0) ** 2, rel=1e-14)
+        assert err.value.last_iterate[0, 0] == pytest.approx(1.1 ** 2,
+                                                             rel=1e-14)
 
     def test_non_finite_gram_solution_takes_plain_step(self, monkeypatch):
         # A Krylov or Gram solution with a NaN is no candidate: every step

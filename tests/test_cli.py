@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 from wcons.cli import run_command
-from wcons.ensemble_io import read_quantile_grid, write_quantile_grid
+from wcons.ensemble_io import (EnsembleDocument, emit_ensemble,
+                               read_quantile_grid, write_quantile_grid)
 from wcons.univariate import gaussian_quantiles
+
+import helpers
 
 
 def member_obj(weight, mean, cov, label=None):
@@ -396,6 +399,20 @@ class TestBary1d:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "weights must be finite" in err
 
+    @pytest.mark.parametrize("values, what", [
+        ("-1e308\n1e308\n", "variance"), ("1e308\n1.5e308\n", "mean")])
+    def test_overflowing_grid_is_exit_2(self, tmp_path, values, what):
+        # Finite grids near the float limit used to print three numpy
+        # warnings, report variance = inf and exit 0.
+        grid = tmp_path / "g.csv"
+        grid.write_text("quantile_value\n" + values, encoding="utf-8")
+        out = tmp_path / "out.csv"
+        proc = cli_process(["bary1d", str(grid), "--out", str(out)])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (f"solver failure: quantile grid {what} "
+                               f"overflows\n")
+        assert not out.exists()
+
     def test_non_numeric_weights_are_exit_1(self, tmp_path, capsys):
         g1, g2 = self.write_gaussian_grids(tmp_path)
         assert run_command(["bary1d", g1, g2, "--weights", "0.5,x"]) == 1
@@ -526,6 +543,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("solver failure: ") and "positivity" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flags", [["barycenter"],
+                                       ["trim", "--alpha", "0.4"]])
+    def test_solver_positivity_loss_is_exit_2(self, tmp_path, flags):
+        # Valid members of condition up to 1e10 whose plain iterate loses
+        # positivity to round-off: one solver-failure line, no --out file.
+        ens = helpers.random_ensemble(np.random.default_rng([8, 2, 10, 0, 99]),
+                                      2, 8, condition_cap=1e10)
+        path = tmp_path / "ens.json"
+        path.write_text(emit_ensemble(EnsembleDocument(ens, (None, None))),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        proc = cli_process(flags + [str(path), "--out", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("solver failure: scatter iteration "
+                                      "lost positive definiteness at step ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
 
     def test_linear_algebra_failure_is_exit_2(self, sigma_trio_path, capsys,
                                               monkeypatch):

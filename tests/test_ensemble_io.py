@@ -2,6 +2,7 @@
 validation errors, serialization round trips."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,22 @@ class TestParseEnsemble:
         text = doc_text([entry(1.0, [0.0, 0.0], [[1.0, 0.1], [0.2, 1.0]])])
         with pytest.raises(ParseError, match="asymmetric"):
             parse_ensemble_text(text)
+
+    def test_overflowing_skew_rejected(self):
+        # cov - cov.T overflows: it used to warn before the check.
+        cov = [[1.0, 1e308], [-1e308, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=r"asymmetric \(max skew inf"):
+                parse_ensemble_text(doc_text([entry(1.0, [0.0, 0.0], cov)]))
+
+    def test_overflowing_symmetrization_rejected(self):
+        # Finite and symmetric, but A + A^T overflows.
+        cov = [[1e308, 0.0], [0.0, 1e308]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="symmetrization overflows"):
+                parse_ensemble_text(doc_text([entry(1.0, [0.0, 0.0], cov)]))
 
     def test_tiny_asymmetry_symmetrized(self):
         cov = [[1.0, 0.1], [0.1 + 1e-12, 1.0]]

@@ -356,6 +356,24 @@ class TestOptimalMap:
             err = np.linalg.norm(pushed - q.cov.entries)
             assert err <= 1e-8 * np.linalg.norm(q.cov.entries)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("c", [1e-6, 1e-9])
+    def test_linear_part_is_scale_free(self, dim, c):
+        # S_P^{1/2} S_Q S_P^{1/2} has the square of the members' scale: at
+        # c = 1e-6 its eigenvalues sit near 1e-12, below the certification
+        # floor, though A(cP, cQ) = A(P, Q) is well inside it.
+        gen = np.random.default_rng([dim, 30])
+        for _ in range(5):
+            p, q = random_member(gen, dim), random_member(gen, dim)
+            a = optimal_map(p, q).matrix.entries
+            small = [LocScatter(m.mean, certify_spd(c * m.cov.entries))
+                     for m in (p, q)]
+            gap = np.linalg.norm(optimal_map(*small).matrix.entries - a)
+            assert gap <= 1e-10 * np.linalg.norm(a)
+        tiny = LocScatter(np.zeros(dim), certify_spd(c * np.eye(dim)))
+        np.testing.assert_allclose(optimal_map(tiny, tiny).matrix.entries,
+                                   np.eye(dim), rtol=0.0, atol=1e-12)
+
     def test_batch_application(self):
         m = AffineMap(matrix=certify_spd(np.diag([2.0, 3.0])),
                       source_mean=np.array([1.0, 1.0]),

@@ -45,6 +45,21 @@ class TestSymMatrix:
         with pytest.raises(InvalidInput):
             SymMatrix(np.ones(4))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_overflowing_symmetrization_is_named(self, dim):
+        # Finite entries whose A + A^T overflows: at d = 3 the sum warned,
+        # and every dimension blamed non-finite entries.
+        big = np.full((dim, dim), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for make in (SymMatrix, certify_spd):
+                with pytest.raises(InvalidInput,
+                                   match="^symmetrization overflows"):
+                    make(big)
+            big[0, 0] = np.nan
+            with pytest.raises(InvalidInput, match="non-finite"):
+                certify_spd(big)
+
     @pytest.mark.parametrize("entries", ["x", [["a", "b"], ["c", "d"]],
                                          [[1.0], [1.0, 2.0]]])
     def test_rejects_non_numeric(self, entries):

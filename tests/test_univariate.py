@@ -60,6 +60,20 @@ class TestQuantileGrid:
     def test_default_size(self):
         assert gaussian_quantiles(0.0, 1.0).size == DEFAULT_GRID_SIZE
 
+    @pytest.mark.parametrize("values, what", [
+        ([-1e308, 1e308], "variance"), ([1e308, 1.5e308], "mean")])
+    def test_overflowing_moments_raise(self, values, what):
+        # Finite values: the order check used np.diff, which overflowed, and
+        # the moments warned and came back infinite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = QuantileGrid(np.array(values))
+            with pytest.raises(ArithmeticError,
+                               match=f"^quantile grid {what} overflows$"):
+                g.mean() if what == "mean" else g.variance()
+            with pytest.raises(InvalidInput, match="nondecreasing"):
+                QuantileGrid(np.array(values[::-1]))
+
 
 class TestGaussianQuantiles:
     def test_known_upper_quantile(self):
@@ -159,6 +173,16 @@ class TestDistance1d:
         with pytest.raises(GridMismatch):
             w2_distance_1d(constant_grid(0.0, 64), constant_grid(0.0, 65))
 
+    @pytest.mark.parametrize("low, high", [(-1e308, 1e308), (0.0, 1e200)])
+    def test_overflow_raises(self, low, high):
+        # The difference or its square overflows: it used to warn and
+        # return inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError,
+                               match="^squared 1-D distance overflows$"):
+                w2_distance_1d(constant_grid(low), constant_grid(high))
+
 
 class TestQuantileBarycenter:
     def test_pointwise_weighted_average(self):
@@ -202,6 +226,16 @@ class TestQuantileBarycenter:
             quantile_barycenter(weights, [f, g])
         with pytest.raises(BadWeights, match="finite"):
             variance_1d(weights, [f, g], bary)
+
+    def test_overflow_raises(self):
+        # Weights may sum to 1 + 1e-9, so an average of the largest float
+        # can overflow.
+        top = constant_grid(np.finfo(float).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError,
+                               match="^quantile barycenter overflows$"):
+                quantile_barycenter([0.5000000004, 0.4999999999], [top, top])
 
     def test_resolution_mismatch(self):
         with pytest.raises(GridMismatch):
