@@ -29,9 +29,6 @@ from .ensemble_io import (_write_csv, _write_json, loc_scatter_obj,
                           parse_ensemble, read_quantile_grid,
                           write_quantile_grid)
 from .locscatter import w2_distance_sq
-from .simulation import (HospitalConfig, consistency_harness,
-                         ellipse_points, gaussian_parameter_law,
-                         hospital_experiment)
 from .trimming import TrimConfig, trimmed_barycenter, variance_curve
 from .univariate import quantile_barycenter, variance_1d
 
@@ -184,6 +181,7 @@ def cmd_compare(args):
 
 
 def cmd_ellipse(args):
+    from .simulation import ellipse_points
     doc = parse_ensemble(args.ensemble, args.normalize)
     rows = [(doc.labels[i] or f"entry-{i}", float(x), float(y))
             for i, member in enumerate(doc.ensemble.members)
@@ -212,6 +210,7 @@ def cmd_bary1d(args):
 
 
 def cmd_simulate_hospitals(args):
+    from .simulation import HospitalConfig, hospital_experiment
     beta = tuple(_list(args.beta, "--beta", float))
     cfg = HospitalConfig(k=args.k, n=args.n, contamination_beta=beta,
                          mcd_fraction=args.mcd_fraction,
@@ -247,6 +246,7 @@ def cmd_simulate_hospitals(args):
 
 
 def cmd_simulate_consistency(args):
+    from .simulation import consistency_harness, gaussian_parameter_law
     sizes = _list(args.n, "--n", int)
     report = consistency_harness(gaussian_parameter_law(), sizes,
                                  alpha=args.alpha, reps=args.reps,

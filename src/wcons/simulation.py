@@ -11,7 +11,6 @@ never matters.
 
 from __future__ import annotations
 
-import importlib.resources
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -676,6 +675,8 @@ def ellipse_toy_ensemble():
     the far outlier (index 4), one third removes both.  Returns the
     ensemble and the member labels.
     """
+    import importlib.resources
+
     from .ensemble_io import parse_ensemble_text
     ref = importlib.resources.files("wcons").joinpath("data/ellipse_toy.json")
     return parse_ensemble_text(ref.read_text(encoding="utf-8"))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -29,11 +28,24 @@ __all__ = [
 DEFAULT_GRID_SIZE = 4096
 
 
-def _finite(what: str, compute) -> float:
-    """``compute()`` as a float, evaluated without overflow warnings;
-    ``ArithmeticError`` naming ``what`` when it is not finite."""
+def _finite(what: str, compute, arrays, degree: int) -> float:
+    """``compute(*arrays)`` as a float, evaluated without overflow warnings.
+
+    ``compute`` is homogeneous of degree ``degree``.  Only when its plain
+    value is not finite is it redone on the arrays divided by an exact power
+    of two that brings their largest entry below 1, and scaled back, so an
+    intermediate overflow does not hide a finite result.  A result that
+    itself overflows raises ``ArithmeticError`` naming ``what``.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float(compute())
+        value = float(compute(*arrays))
+        if not math.isfinite(value):
+            _, exp = math.frexp(max(float(np.abs(a).max()) for a in arrays))
+            value = float(compute(*(np.ldexp(a, -exp) for a in arrays)))
+            try:
+                value = math.ldexp(value, degree * exp)
+            except OverflowError:
+                value = math.inf
     if not math.isfinite(value):
         raise ArithmeticError(f"{what} overflows")
     return value
@@ -62,10 +74,10 @@ class QuantileGrid:
         return self.values.shape[0]
 
     def mean(self) -> float:
-        return _finite("quantile grid mean", self.values.mean)
+        return _finite("quantile grid mean", np.mean, [self.values], 1)
 
     def variance(self) -> float:
-        return _finite("quantile grid variance", self.values.var)
+        return _finite("quantile grid variance", np.var, [self.values], 2)
 
 
 def _check_sizes(grids: list[QuantileGrid]) -> int:
@@ -79,10 +91,10 @@ def w2_distance_1d(f: QuantileGrid, g: QuantileGrid) -> float:
     """Squared 2-Wasserstein distance, midpoint rule on (0, 1)."""
     _check_sizes([f, g])
 
-    def squared():
-        diff = f.values - g.values
+    def squared(a, b):
+        diff = a - b
         return float(diff @ diff) / f.size
-    return _finite("squared 1-D distance", squared)
+    return _finite("squared 1-D distance", squared, [f.values, g.values], 2)
 
 
 def quantile_barycenter(weights, grids) -> QuantileGrid:
@@ -114,6 +126,8 @@ def gaussian_quantiles(mean: float, sigma: float, size: int = DEFAULT_GRID_SIZE)
     the placement of ``mean``.  A mean that is not finite, or a finite sigma
     whose grid overflows, raises :class:`InvalidInput` naming it.
     """
+    from statistics import NormalDist
+
     if not (is_real(mean) and np.isfinite(mean)):
         raise InvalidInput(f"mean must be a finite real number, got {mean!r}")
     check_positive(sigma, "sigma")

@@ -7,6 +7,10 @@ must stay gone.
 
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,7 +53,33 @@ def parameter_names(fn):
 
 def test_exported_names():
     assert sorted(wcons.__all__) == EXPORTS
-    assert all(hasattr(wcons, name) for name in EXPORTS)
+    assert set(EXPORTS) <= set(dir(wcons))
+    # Each name resolves to the object its module defines.
+    for name in EXPORTS:
+        assert getattr(wcons, name).__module__.startswith("wcons.")
+
+
+def test_import_loads_only_the_errors_module():
+    # Every other module is imported on first access to one of its names.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, wcons; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'wcons'), 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['wcons', 'wcons.errors'] True\n"
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from wcons import *", namespace)
+    assert set(EXPORTS) <= set(namespace)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        wcons.no_such_name
 
 
 def test_configuration_fields():

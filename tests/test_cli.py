@@ -400,7 +400,7 @@ class TestBary1d:
         assert err.count("\n") == 1 and "weights must be finite" in err
 
     @pytest.mark.parametrize("values, what", [
-        ("-1e308\n1e308\n", "variance"), ("1e308\n1.5e308\n", "mean")])
+        ("-1e308\n1e308\n", "variance"), ("1e308\n1.5e308\n", "variance")])
     def test_overflowing_grid_is_exit_2(self, tmp_path, values, what):
         # Finite grids near the float limit used to print three numpy
         # warnings, report variance = inf and exit 0.
@@ -762,6 +762,20 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         summary = parse_summary(proc.stdout)
         assert float(summary["w2_sq"]) == pytest.approx(8.0, abs=1e-9)
+
+    def test_distance_leaves_simulation_unloaded(self, tmp_path):
+        # Only ellipse and the two simulate commands import wcons.simulation.
+        a = gauss_doc(tmp_path / "a.json", [(1.0, [0.0], [[1.0]])])
+        b = gauss_doc(tmp_path / "b.json", [(1.0, [2.0], [[9.0]])])
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys; from wcons.cli import run_command; "
+                "code = run_command(sys.argv[1:]); "
+                "print(code, 'wcons.simulation' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, "distance", a, b],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
     def test_import_loads_no_scipy(self):
         # wcons needs only numpy; a fresh interpreter shows what the

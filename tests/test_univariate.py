@@ -61,18 +61,35 @@ class TestQuantileGrid:
         assert gaussian_quantiles(0.0, 1.0).size == DEFAULT_GRID_SIZE
 
     @pytest.mark.parametrize("values, what", [
-        ([-1e308, 1e308], "variance"), ([1e308, 1.5e308], "mean")])
+        ([-1e308, 1e308], "variance"), ([1e308, 1.5e308], "variance")])
     def test_overflowing_moments_raise(self, values, what):
         # Finite values: the order check used np.diff, which overflowed, and
-        # the moments warned and came back infinite.
+        # the moments warned and came back infinite.  The mean of finite
+        # values is finite, so only the variance can overflow.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             g = QuantileGrid(np.array(values))
             with pytest.raises(ArithmeticError,
                                match=f"^quantile grid {what} overflows$"):
-                g.mean() if what == "mean" else g.variance()
+                g.variance()
             with pytest.raises(InvalidInput, match="nondecreasing"):
                 QuantileGrid(np.array(values[::-1]))
+
+    def test_mean_near_the_float_limit(self):
+        # The plain sum overflows; the mean itself is a finite double.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert QuantileGrid(np.array([1e308, 1.5e308])).mean() == 1.25e308
+
+    def test_variance_near_the_float_limit(self):
+        # The squares sum past the float limit; the variance, a^2 (N + 1) /
+        # (3 (N - 1)) for N evenly spaced values on [-a, a], is about 4.8e307.
+        a, n = 1.2e154, 4096
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            var = QuantileGrid(np.linspace(-a, a, n)).variance()
+        assert var == pytest.approx(a * (a * (n + 1) / (3 * (n - 1))),
+                                    rel=1e-12)
 
 
 class TestGaussianQuantiles:
@@ -182,6 +199,15 @@ class TestDistance1d:
             with pytest.raises(ArithmeticError,
                                match="^squared 1-D distance overflows$"):
                 w2_distance_1d(constant_grid(low), constant_grid(high))
+
+    def test_distance_near_the_float_limit(self):
+        # Each squared difference is 1.44e308, so their sum overflows; the
+        # mean of the two is the distance.
+        f = QuantileGrid(np.array([0.0, 1.2e154]))
+        g = QuantileGrid(np.array([1.2e154, 2.4e154]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert w2_distance_1d(f, g) == pytest.approx(1.44e308, rel=1e-15)
 
 
 class TestQuantileBarycenter:
